@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .corpus import Genre, build_training_sequence, build_vocab
 from .embeddings import init_embedding_matrix, train_skipgram
-from .evaluation import ReferenceIndex, bleu
+from .evaluation import ReferenceIndex, evaluate_keywords
 from .generation import GenRequest, ProsodyRules, beam_search_generate
 from .model import ModelConfig, ModelParams
 from .training import GenreMode, TrainConfig, train
@@ -52,19 +52,17 @@ def _train_model(train_poems, vocab, ab, genre_mode, d, H, H_dec, epochs, seed):
     return mparams
 
 
-def _score(mparams, vocab, held_out, index, beam_width=1, seed=0):
-    scores = []
-    for poem in held_out:
-        kw = poem.lines[0]
-        refs = index.references(kw)
-        if not refs:
-            continue
-        req = GenRequest(keywords=kw, genre=poem.genre, beam_width=beam_width,
+def _score(mparams, vocab, held_out, index, seed=0):
+    """Mean BLEU of greedy, unconstrained generations from held-out first lines."""
+    rules = ProsodyRules(tone_dict=None, templates=[])
+
+    def generate(kw):
+        req = GenRequest(keywords=kw, genre=Genre(len(kw)), beam_width=1,
                          tone=False, rhyme=False, seed=seed)
-        gen, _ = beam_search_generate(req, mparams, vocab,
-                                      ProsodyRules(tone_dict=None, templates=[]))
-        scores.append(bleu(gen.chars(), refs).bleu)
-    return sum(scores) / len(scores) if scores else None
+        return beam_search_generate(req, mparams, vocab, rules)[0].chars()
+
+    _, summary = evaluate_keywords(generate, [p.lines[0] for p in held_out], index)
+    return summary["mean_bleu"]
 
 
 def run_ablation(train_poems, held_out_poems, d=16, H=16, H_dec=16, epochs=5,

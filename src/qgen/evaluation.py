@@ -7,7 +7,6 @@ precisions, no smoothing, and the closest-reference-length brevity penalty
 flagged in the report.
 """
 
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -137,7 +136,3 @@ def evaluate_keywords(generate_fn, keywords, index):
     summary = {"keywords": len(keywords), "scored": len(scores),
                "mean_bleu": (sum(scores) / len(scores)) if scores else None}
     return records, summary
-
-
-def records_to_jsonl(records):
-    return "\n".join(json.dumps(r, ensure_ascii=False) for r in records)

@@ -137,6 +137,14 @@ def beam_search_generate(req, mparams, vocab, rules):
 
     Deterministic given req.seed; the seed only breaks exact score ties.
     """
+    if req.tone:
+        bindings = templates_for(rules.templates, req.genre)
+        if not bindings:
+            raise GenerationError("no tonal templates for genre %s" % req.genre.name)
+    else:
+        bindings = [None]
+    if (req.tone or req.rhyme) and rules.tone_dict is None:
+        raise GenerationError("tone and rhyme constraints need a tone dictionary")
     cfg = mparams.cfg
     nodes = mparams.wrap()
     keywords = req.keywords.split() if req.sep_keywords else ["".join(req.keywords.split())]
@@ -151,13 +159,6 @@ def beam_search_generate(req, mparams, vocab, rules):
             ids.append(idx)
     enc = encode(ids, nodes, cfg)
     s0 = init_decoder_state(enc, req.genre, nodes, mparams.indicators)
-
-    if req.tone:
-        bindings = templates_for(rules.templates, req.genre)
-        if not bindings:
-            raise GenerationError("no tonal templates for genre %s" % req.genre.name)
-    else:
-        bindings = [None]
     rng = np.random.Generator(np.random.PCG64(req.seed))
     plan = position_plan(req.genre)
     beam = [_Hyp(tokens=[], state=s0, prev=BOS, logp=0.0, template=t) for t in bindings]

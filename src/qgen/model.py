@@ -145,11 +145,6 @@ def gru_subparams(nodes, prefix):
     return {k: nodes["%s.%s" % (prefix, k)] for k in GRU_KEYS}
 
 
-def gru_cell(x, h_prev, p):
-    """GRU step on tape nodes; see numerics.gru_cell for the gate equations."""
-    return nm.gru_cell(x, h_prev, p)
-
-
 @dataclass
 class EncoderOutput:
     states: list          # T nodes of dim 2H (forward || backward), or (B, 2H)
@@ -166,15 +161,11 @@ def encode(input_ids, nodes, cfg):
     ids = np.asarray(input_ids, dtype=np.intp)
     if ids.size == 0:
         raise ValueError("encode: empty input")
-    emb = nodes["emb"]
-    if ids.ndim == 1:
-        xs = [nm.embedding_rows(emb, int(i)) for i in ids]
-        zero = nm.constant(np.zeros(cfg.H))
-    elif ids.ndim == 2:
-        xs = [nm.embedding_rows(emb, ids[:, t]) for t in range(ids.shape[1])]
-        zero = nm.constant(np.zeros((ids.shape[0], cfg.H)))
-    else:
+    if ids.ndim not in (1, 2):
         raise ValueError("encode: input_ids must be 1-d or 2-d")
+    emb = nodes["emb"]
+    xs = [nm.embedding_rows(emb, ids[..., t]) for t in range(ids.shape[-1])]
+    zero = nm.constant(np.zeros(ids.shape[:-1] + (cfg.H,)))
     pf = gru_subparams(nodes, "enc_f")
     pb = gru_subparams(nodes, "enc_b")
     fwd = []
@@ -229,8 +220,6 @@ def init_decoder_state(enc, genre, nodes, indicators):
     """s0 = tanh(W [final backward state || type indicator] + b)."""
     vec = indicators[genre]
     back = enc.back_final
-    if back.value.ndim == 2:
-        vec = np.broadcast_to(vec, (back.value.shape[0], vec.shape[0]))
-    ind = nm.constant(vec)
+    ind = nm.constant(np.broadcast_to(vec, back.value.shape[:-1] + vec.shape))
     joined = nm.concat([back, ind])
     return nm.tanh(nm.affine(nodes["init.W"], joined, nodes["init.b"]))

@@ -2,10 +2,12 @@
 
 Everything is double precision. The tape is a plain DAG of Node objects. Ops
 on the recurrent hot path (GRU cell, additive attention) are fused into single
-nodes with hand-derived backward passes, and every op accepts either a single
-vector or a (batch, dim) matrix so whole minibatches run through one tape.
-The correctness contract for every differentiable op is the finite-difference
-check in grad_check().
+nodes with hand-derived backward passes. Every op has one formula for a single
+vector and a (batch, dim) matrix alike: a vector is a one-row batch. Outputs
+keep the rank of the inputs, and where a formula needs the rows explicitly
+(weight gradients, attention) it works on the `_rows` view of the array, so a
+vector costs no extra tape node. The correctness contract for every
+differentiable op is the finite-difference check in grad_check().
 """
 
 import numpy as np
@@ -31,6 +33,11 @@ class Node:
         self.grad = None
         self.parents = parents
         self.bwd = bwd
+
+
+def _rows(a):
+    """View an array as (rows, last dim); a vector becomes a single row."""
+    return a.reshape(-1, a.shape[-1])
 
 
 def _acc(node, g):
@@ -145,26 +152,20 @@ def concat(parts):
 
 
 def affine(W, x, b):
-    """W x + b for a vector x, or x W^T + b row-wise for a (B, n) batch."""
+    """x W^T + b over the last axis of x: a vector or (B, n) rows."""
     if W.value.ndim != 2 or b.value.ndim != 1:
         raise ShapeError("affine: bad ranks W%s b%s" % (W.value.shape, b.value.shape))
     m, n = W.value.shape
     if x.value.shape[-1] != n or b.value.shape[0] != m:
         raise ShapeError("affine: W %s incompatible with x %s / b %s"
                          % (W.value.shape, x.value.shape, b.value.shape))
-    batched = x.value.ndim == 2
-    y = (x.value @ W.value.T if batched else W.value @ x.value) + b.value
-    out = Node(y, (W, x, b))
+    out = Node(x.value @ W.value.T + b.value, (W, x, b))
 
     def bwd(g):
-        if batched:
-            _acc(W, g.T @ x.value)
-            _acc(x, g @ W.value)
-            _acc(b, g.sum(axis=0))
-        else:
-            _acc(W, np.outer(g, x.value))
-            _acc(x, W.value.T @ g)
-            _acc(b, g)
+        g2 = _rows(g)
+        _acc(W, g2.T @ _rows(x.value))
+        _acc(x, g @ W.value)
+        _acc(b, g2.sum(axis=0))
     out.bwd = bwd
     return out
 
@@ -175,17 +176,13 @@ def embedding_rows(E, ids):
     The gradient is scattered into a zero buffer owned by E, which keeps the
     cost per lookup at O(d) instead of O(V d).
     """
-    single = np.isscalar(ids) or np.ndim(ids) == 0
-    idx = int(ids) if single else np.asarray(ids, dtype=np.intp)
+    idx = np.asarray(ids, dtype=np.intp)
     out = Node(E.value[idx], (E,))
 
     def bwd(g):
         if E.grad is None:
             E.grad = np.zeros_like(E.value)
-        if single:
-            E.grad[idx] += g
-        else:
-            np.add.at(E.grad, idx, g)
+        np.add.at(E.grad, idx, g)
     out.bwd = bwd
     return out
 
@@ -224,38 +221,32 @@ def cross_entropy(pred, target):
     the model assigns (numerically) zero mass to the target; composed with
     softmax() the gradient w.r.t. the logits is pred - onehot(target).
     """
-    p = pred.value
-    if p.ndim != 1:
-        raise ShapeError("cross_entropy expects a probability vector")
-    target = int(target)
-    if not 0 <= target < p.shape[0]:
-        raise ShapeError("cross_entropy: target %d out of range for n=%d" % (target, p.shape[0]))
-    pt = p[target]
-    clamped = bool(pt < PROB_FLOOR)
-    pt = max(pt, PROB_FLOOR)
-    out = Node(-np.log(pt), (pred,))
-
-    def bwd(g):
-        d = np.zeros_like(p)
-        d[target] = -float(g) / pt
-        _acc(pred, d)
-    out.bwd = bwd
-    return out, clamped
+    p, target = pred.value, int(target)
+    if p.ndim != 1 or not 0 <= target < p.shape[0]:
+        raise ShapeError("cross_entropy needs a probability vector and a target in "
+                         "range; got target %d for shape %s" % (target, p.shape))
+    return cross_entropy_rows(pred, target), bool(p[target] < PROB_FLOOR)
 
 
 def cross_entropy_rows(pred, targets):
-    """Per-row -ln(pred[i, targets[i]]) for a (B, V) probability node."""
+    """Per-row -ln(pred[..., target]), floored at PROB_FLOOR.
+
+    `pred` is a probability vector with one target id, or (B, V) rows with a
+    (B,) target array; the loss has the shape of `targets`.
+    """
     p = pred.value
-    if p.ndim != 2:
-        raise ShapeError("cross_entropy_rows expects (B, V) probabilities")
     idx = np.asarray(targets, dtype=np.intp)
-    rows = np.arange(p.shape[0])
-    pt = np.maximum(p[rows, idx], PROB_FLOOR)
-    out = Node(-np.log(pt), (pred,))
+    if p.ndim < 1 or idx.shape != p.shape[:-1]:
+        raise ShapeError("cross_entropy_rows: targets %s do not match probabilities %s"
+                         % (idx.shape, p.shape))
+    flat = idx.reshape(-1)
+    rows = np.arange(flat.shape[0])
+    pt = np.maximum(_rows(p)[rows, flat], PROB_FLOOR)
+    out = Node(-np.log(pt).reshape(idx.shape), (pred,))
 
     def bwd(g):
         d = np.zeros_like(p)
-        d[rows, idx] = -g / pt
+        _rows(d)[rows, flat] = -g.reshape(-1) / pt
         _acc(pred, d)
     out.bwd = bwd
     return out
@@ -304,15 +295,10 @@ def gru_cell(x, h_prev, p):
     if Wz.value.shape[1] != xv.shape[-1] or Uz.value.shape[1] != hv.shape[-1]:
         raise ShapeError("gru_cell: x %s / h %s incompatible with Wz %s / Uz %s"
                          % (xv.shape, hv.shape, Wz.value.shape, Uz.value.shape))
-    batched = xv.ndim == 2
-
-    def mv(M, a):
-        return a @ M.T if batched else M @ a
-
-    z = 1.0 / (1.0 + np.exp(-(mv(Wz.value, xv) + mv(Uz.value, hv) + bz.value)))
-    r = 1.0 / (1.0 + np.exp(-(mv(Wr.value, xv) + mv(Ur.value, hv) + br.value)))
+    z = 1.0 / (1.0 + np.exp(-(xv @ Wz.value.T + hv @ Uz.value.T + bz.value)))
+    r = 1.0 / (1.0 + np.exp(-(xv @ Wr.value.T + hv @ Ur.value.T + br.value)))
     rh = r * hv
-    hbar = np.tanh(mv(Wh.value, xv) + mv(Uh.value, rh) + bh.value)
+    hbar = np.tanh(xv @ Wh.value.T + rh @ Uh.value.T + bh.value)
     h_new = z * hv + (1.0 - z) * hbar
 
     parents = (x, h_prev, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh)
@@ -324,37 +310,26 @@ def gru_cell(x, h_prev, p):
         dh = g * z
 
         da_h = dhbar * (1.0 - hbar * hbar)
-        drh = da_h @ Uh.value if batched else Uh.value.T @ da_h
+        drh = da_h @ Uh.value
         dr = drh * hv
         dh = dh + drh * r
 
         da_z = dz * z * (1.0 - z)
         da_r = dr * r * (1.0 - r)
 
-        if batched:
-            dx = da_h @ Wh.value + da_z @ Wz.value + da_r @ Wr.value
-            dh = dh + da_z @ Uz.value + da_r @ Ur.value
-            _acc(Wz, da_z.T @ xv)
-            _acc(Uz, da_z.T @ hv)
-            _acc(bz, da_z.sum(axis=0))
-            _acc(Wr, da_r.T @ xv)
-            _acc(Ur, da_r.T @ hv)
-            _acc(br, da_r.sum(axis=0))
-            _acc(Wh, da_h.T @ xv)
-            _acc(Uh, da_h.T @ rh)
-            _acc(bh, da_h.sum(axis=0))
-        else:
-            dx = Wh.value.T @ da_h + Wz.value.T @ da_z + Wr.value.T @ da_r
-            dh = dh + Uz.value.T @ da_z + Ur.value.T @ da_r
-            _acc(Wz, np.outer(da_z, xv))
-            _acc(Uz, np.outer(da_z, hv))
-            _acc(bz, da_z)
-            _acc(Wr, np.outer(da_r, xv))
-            _acc(Ur, np.outer(da_r, hv))
-            _acc(br, da_r)
-            _acc(Wh, np.outer(da_h, xv))
-            _acc(Uh, np.outer(da_h, rh))
-            _acc(bh, da_h)
+        dx = da_h @ Wh.value + da_z @ Wz.value + da_r @ Wr.value
+        dh = dh + da_z @ Uz.value + da_r @ Ur.value
+        x2, h2, rh2 = _rows(xv), _rows(hv), _rows(rh)
+        dz2, dr2, dh2 = _rows(da_z), _rows(da_r), _rows(da_h)
+        _acc(Wz, dz2.T @ x2)
+        _acc(Uz, dz2.T @ h2)
+        _acc(bz, dz2.sum(axis=0))
+        _acc(Wr, dr2.T @ x2)
+        _acc(Ur, dr2.T @ h2)
+        _acc(br, dr2.sum(axis=0))
+        _acc(Wh, dh2.T @ x2)
+        _acc(Uh, dh2.T @ rh2)
+        _acc(bh, dh2.sum(axis=0))
         _acc(x, dx)
         _acc(h_prev, dh)
     out.bwd = bwd
@@ -374,9 +349,10 @@ def additive_attention(query, items, W, U, v):
     T = len(items)
     if T < 1:
         raise ShapeError("attention over an empty sequence")
-    single = query.value.ndim == 1
-    q = query.value[None, :] if single else query.value         # (B, Hq)
-    M = np.stack([it.value[None, :] if single else it.value for it in items], axis=1)  # (B,T,D)
+    lead = query.value.shape[:-1]                               # () or (B,)
+    q = _rows(query.value)                                      # (B, Hq)
+    M = np.stack([it.value for it in items], axis=-2)
+    M = M.reshape(q.shape[0], T, M.shape[-1])                   # (B, T, D)
     t = np.tanh((q @ W.value.T)[:, None, :] + M @ U.value.T)    # (B, T, A)
     e = t @ v.value                                             # (B, T)
     ex = np.exp(e - e.max(axis=-1, keepdims=True))
@@ -384,10 +360,10 @@ def additive_attention(query, items, W, U, v):
     ctx = (alpha[:, :, None] * M).sum(axis=1)                   # (B, D)
 
     parents = (query,) + tuple(items) + (W, U, v)
-    out = Node(ctx[0] if single else ctx, parents)
+    out = Node(ctx.reshape(lead + ctx.shape[-1:]), parents)
 
     def bwd(g):
-        gb = g[None, :] if single else g                        # (B, D)
+        gb = _rows(g)                                           # (B, D)
         dalpha = (M @ gb[:, :, None])[:, :, 0]                  # (B, T)
         de = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
         dt = (1.0 - t * t) * de[:, :, None] * v.value           # (B, T, A)
@@ -395,14 +371,13 @@ def additive_attention(query, items, W, U, v):
         _acc(v, np.einsum("bta,bt->a", t, de))
         _acc(W, dts.T @ q)
         _acc(U, np.einsum("bta,btd->ad", dt, M))
-        dq = dts @ W.value
-        _acc(query, dq[0] if single else dq)
+        _acc(query, (dts @ W.value).reshape(query.value.shape))
         dM = alpha[:, :, None] * gb[:, None, :] + dt @ U.value  # (B, T, D)
+        dM = dM.reshape(lead + dM.shape[1:])
         for i, it in enumerate(items):
-            gi = dM[:, i, :]
-            _acc(it, gi[0] if single else gi)
+            _acc(it, dM[..., i, :])
     out.bwd = bwd
-    return out, (alpha[0] if single else alpha)
+    return out, alpha.reshape(lead + (T,))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The loss for one example is the mean per-position cross entropy of the
 decoder's predictions under teacher forcing (decoder input at step t is BOS,
-then target[t-1]). Minibatch gradients are computed sentence by sentence and
-averaged before a single AdaDelta step.
+then target[t-1]). A genre-pure minibatch runs through one tape as (B, dim)
+rows; its gradient is that of the mean per-example loss, and one AdaDelta
+step follows each minibatch.
 
 Checkpoint container: magic `QGEN`, u32 version, u64 header length, JSON
 header, then length-prefixed named tensors as little-endian doubles.
@@ -45,77 +46,53 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-def sequence_loss(example, mparams, collect_grads=True):
-    """Loss and gradients for one example.
-
-    Returns (loss, grads) where grads maps parameter name -> ndarray; grads is
-    None when collect_grads is off.
-    """
-    nodes = mparams.wrap()
-    cfg = mparams.cfg
-    enc = encode(example.input_ids, nodes, cfg)
-    s = init_decoder_state(enc, example.genre, nodes, mparams.indicators)
-    prev = BOS
-    terms = []
-    for tgt in example.target_ids:
-        s, dist, _ = decode_step(s, prev, enc, nodes, cfg)
-        term, _ = nm.cross_entropy(dist, tgt)
-        terms.append(term)
-        prev = tgt
-    loss = nm.mean_of(terms)
-    if not collect_grads:
-        return float(loss.value), None
-    nm.backward(loss)
-    grads = {k: n.grad for k, n in nodes.items() if n.grad is not None}
-    return float(loss.value), grads
-
-
-def batch_loss(examples, mparams, collect_grads=True):
-    """Loss and gradients for a genre-pure minibatch in one tape pass.
+def _teacher_forced(examples, nodes, mparams):
+    """Decoder distributions of a genre-pure batch under teacher forcing.
 
     All examples must share input and target lengths (true within a genre).
-    Returns (per_example_losses, grads); the gradients are those of the mean
-    per-example loss, i.e. already averaged over the batch.
+    Returns one (B, V) distribution node per target position.
     """
     genres = {e.genre for e in examples}
     if len(genres) != 1:
-        raise ValueError("batch_loss needs a genre-pure batch, got %s"
+        raise ValueError("teacher forcing needs a genre-pure batch, got %s"
                          % sorted(g.name for g in genres))
-    nodes = mparams.wrap()
     cfg = mparams.cfg
     inputs = np.array([e.input_ids for e in examples], dtype=np.intp)
     targets = np.array([e.target_ids for e in examples], dtype=np.intp)
     enc = encode(inputs, nodes, cfg)
     s = init_decoder_state(enc, examples[0].genre, nodes, mparams.indicators)
-    B, L = targets.shape
-    prev = np.full(B, BOS, dtype=np.intp)
-    terms = []
-    for t in range(L):
+    prev = np.full(len(examples), BOS, dtype=np.intp)
+    dists = []
+    for t in range(targets.shape[1]):
         s, dist, _ = decode_step(s, prev, enc, nodes, cfg)
-        terms.append(nm.cross_entropy_rows(dist, targets[:, t]))
+        dists.append(dist)
         prev = targets[:, t]
-    per_example = nm.mean_of(terms)
-    loss = nm.mean_all(per_example)
+    return dists
+
+
+def batch_loss(examples, mparams, collect_grads=True):
+    """Loss and gradients for a genre-pure minibatch in one tape pass.
+
+    Returns (per_example_losses, grads); the gradients are those of the mean
+    per-example loss, i.e. already averaged over the batch, and grads is None
+    when collect_grads is off.
+    """
+    nodes = mparams.wrap()
+    dists = _teacher_forced(examples, nodes, mparams)
+    targets = np.array([e.target_ids for e in examples], dtype=np.intp)
+    per_example = nm.mean_of([nm.cross_entropy_rows(dist, targets[:, t])
+                              for t, dist in enumerate(dists)])
     if not collect_grads:
         return per_example.value.copy(), None
-    nm.backward(loss)
+    nm.backward(nm.mean_all(per_example))
     grads = {k: n.grad for k, n in nodes.items() if n.grad is not None}
     return per_example.value.copy(), grads
 
 
 def teacher_forced_argmax(example, mparams):
     """Argmax prediction at every target position under teacher forcing."""
-    nodes = mparams.wrap()
-    cfg = mparams.cfg
-    enc = encode(example.input_ids, nodes, cfg)
-    s = init_decoder_state(enc, example.genre, nodes, mparams.indicators)
-    prev = BOS
-    preds = []
-    for tgt in example.target_ids:
-        s, dist, _ = decode_step(s, prev, enc, nodes, cfg)
-        preds.append(int(np.argmax(dist.value)))
-        prev = tgt
-    return preds
+    dists = _teacher_forced([example], mparams.wrap(), mparams)
+    return [int(np.argmax(dist.value[0])) for dist in dists]
 
 
 @dataclass

@@ -85,6 +85,16 @@ def test_generate_missing_checkpoint(workdir, capsys):
     assert code == EXIT_FAILURE
 
 
+def test_generate_without_tone_dict_is_one_line_failure(workdir, trained, capsys):
+    argv = ["generate", "--checkpoint", trained, "--keywords", "月黑雁飞高",
+            "--genre", "5", "--tone-dict", ""]
+    for extra in ([], ["--no-tone"]):
+        assert main(argv + extra) == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("qgen: ") and "tone dictionary" in err
+        assert len(err.splitlines()) == 1
+
+
 def test_validate_compliant_poem(workdir, capsys):
     (workdir / "poem.txt").write_text(FIVE + "\n", encoding="utf-8")
     assert main(["validate", "--poem", "poem.txt"]) == EXIT_OK

@@ -8,7 +8,7 @@ import pytest
 from qgen.corpus import Genre, Poem
 from qgen.evaluation import (ReferenceIndex, bleu, brevity_penalty,
                              build_reference_set, evaluate_keywords,
-                             ngram_precision, records_to_jsonl)
+                             ngram_precision)
 
 
 def oracle_bleu(hyp, refs):
@@ -136,5 +136,3 @@ def test_evaluate_keywords_mean_and_missing():
     assert records[1]["bleu"] is None
     assert isclose(summary["mean_bleu"], records[0]["bleu"], abs_tol=1e-15)
     assert records[0]["bleu"] == 1.0      # hypothesis is its own best reference
-    jsonl = records_to_jsonl(records)
-    assert len(jsonl.splitlines()) == 2

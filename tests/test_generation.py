@@ -181,3 +181,17 @@ def test_no_templates_for_genre_errors(world):
     req = GenRequest(keywords="月黑雁飞高", genre=Genre.FIVE_CHAR, tone=True)
     with pytest.raises(GenerationError):
         beam_search_generate(req, mparams, vocab, bare)
+
+
+def test_constraints_without_tone_dict_error_before_decoding(world, monkeypatch):
+    vocab, mparams, rules = world
+    no_dict = ProsodyRules(tone_dict=None, templates=rules.templates)
+
+    def no_decoding(*args, **kwargs):
+        raise AssertionError("decoding started")
+    monkeypatch.setattr("qgen.generation.encode", no_decoding)
+    for tone, rhyme in ((True, True), (True, False), (False, True)):
+        req = GenRequest(keywords="月黑雁飞高", genre=Genre.FIVE_CHAR,
+                         tone=tone, rhyme=rhyme)
+        with pytest.raises(GenerationError, match="tone dictionary"):
+            beam_search_generate(req, mparams, vocab, no_dict)

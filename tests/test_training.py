@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from qgen import numerics as nm
-from qgen.corpus import Genre, Poem, build_training_sequence, build_vocab
-from qgen.model import ModelConfig, ModelParams
+from qgen.corpus import BOS, Genre, Poem, build_training_sequence, build_vocab
+from qgen.model import (ModelConfig, ModelParams, decode_step, encode,
+                        init_decoder_state)
 from qgen.training import (CheckpointError, GenreMode, TrainConfig,
                            _check_genre_mode, _genre_pure_batches, batch_loss,
-                           load_checkpoint, save_checkpoint, sequence_loss,
+                           load_checkpoint, save_checkpoint,
                            teacher_forced_argmax, train, train_epoch)
 
 POEMS_5 = [
@@ -40,16 +41,34 @@ def test_uniform_model_loss_is_log_vocab(setup):
     mp = ModelParams.initialize(cfg)
     for k in mp.tensors:
         mp.tensors[k][:] = 0.0
-    loss, _ = sequence_loss(examples[0], mp, collect_grads=False)
-    assert abs(loss - np.log(len(vocab))) < 1e-12
+    losses, _ = batch_loss([examples[0]], mp, collect_grads=False)
+    assert abs(losses[0] - np.log(len(vocab))) < 1e-12
 
 
-def test_batch_loss_matches_sequence_loss(setup):
+def reference_loss(example, mp):
+    """One example, one position at a time, on vector activations: the loss
+    acceptance 1 builds, with its gradients."""
+    nodes = mp.wrap()
+    enc = encode(example.input_ids, nodes, mp.cfg)
+    s = init_decoder_state(enc, example.genre, nodes, mp.indicators)
+    prev = BOS
+    terms = []
+    for tgt in example.target_ids:
+        s, dist, _ = decode_step(s, prev, enc, nodes, mp.cfg)
+        term, _ = nm.cross_entropy(dist, tgt)
+        terms.append(term)
+        prev = tgt
+    loss = nm.mean_of(terms)
+    nm.backward(loss)
+    return float(loss.value), {k: n.grad for k, n in nodes.items() if n.grad is not None}
+
+
+def test_batch_loss_matches_per_example_reference(setup):
     _, _, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
     batch = [e for e in examples if e.genre == Genre.FIVE_CHAR]
     losses, grads = batch_loss(batch, mp)
-    singles = [sequence_loss(e, mp) for e in batch]
+    singles = [reference_loss(e, mp) for e in batch]
     np.testing.assert_allclose(losses, [l for l, _ in singles], atol=1e-10)
     # batch grads equal the mean of the per-example grads
     for name in grads:
@@ -156,9 +175,9 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
         np.testing.assert_array_equal(mp2.indicators[g], mp.indicators[g])
     # training resumes producing identical losses from either object
-    l1, _ = sequence_loss(examples[0], mp, collect_grads=False)
-    l2, _ = sequence_loss(examples[0], mp2, collect_grads=False)
-    assert l1 == l2
+    l1, _ = batch_loss([examples[0]], mp, collect_grads=False)
+    l2, _ = batch_loss([examples[0]], mp2, collect_grads=False)
+    np.testing.assert_array_equal(l1, l2)
 
 
 def test_checkpoint_corruption_errors(tmp_path, setup):
