@@ -300,15 +300,40 @@ def _apply_env_config(ap, sub):
     if not isinstance(cfg, dict):
         raise ValueError("QGEN_CONFIG %s must hold a JSON object" % path)
     for parser in [ap] + list(sub.choices.values()):
-        known = {a.dest for a in parser._actions}
-        parser.set_defaults(**{k: v for k, v in cfg.items() if k in known})
+        parser.set_defaults(**{a.dest: _config_value(a, cfg[a.dest])
+                               for a in parser._actions if a.dest in cfg})
+
+
+def _config_value(action, value):
+    """Check one QGEN_CONFIG value as argparse checks the flag's own value.
+
+    argparse converts string defaults only, so a JSON number, list or null
+    would otherwise reach the command unchecked.
+    """
+    if action.nargs == 0:                       # store_true
+        if not isinstance(value, bool):
+            raise ValueError("%s must be true or false, got %s"
+                             % (action.dest, json.dumps(value)))
+        return value
+    if value is None and action.default is None:
+        return None
+    if action.type is None and not isinstance(value, str):
+        raise ValueError("%s must be a string, got %s" % (action.dest, json.dumps(value)))
+    try:
+        value = action.type(str(value)) if action.type else value
+    except (TypeError, ValueError) as e:
+        raise ValueError("%s: %s" % (action.dest, e)) from e
+    if action.choices is not None and value not in action.choices:
+        raise ValueError("%s must be one of %s, got %s"
+                         % (action.dest, ", ".join(action.choices), json.dumps(value)))
+    return value
 
 
 def main(argv=None):
     ap, sub = build_parser()
     try:
         _apply_env_config(ap, sub)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         print("qgen: bad QGEN_CONFIG: %s" % e, file=sys.stderr)
         return EXIT_USAGE
     try:

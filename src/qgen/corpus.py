@@ -41,16 +41,21 @@ class CorpusError(Exception):
     pass
 
 
-def _classify(lines):
-    """Return the genre for 4 well-formed lines, or None with a reason."""
+def quatrain_genre(lines):
+    """The genre of a quatrain: 4 lines, all of 5 or all of 7 characters.
+
+    Returns (genre, None), or (None, reason) for any other shape.
+    """
     if len(lines) != 4:
         return None, "expected 4 lines, got %d" % len(lines)
-    lengths = {len(l) for l in lines}
-    if lengths == {5}:
-        return Genre.FIVE_CHAR, None
-    if lengths == {7}:
-        return Genre.SEVEN_CHAR, None
-    return None, "line lengths %s are not uniformly 5 or 7" % sorted(len(l) for l in lines)
+    bad = ["line %d has %d chars" % (i + 1, len(l))
+           for i, l in enumerate(lines) if len(l) not in (5, 7)]
+    if bad:
+        return None, "lines with bad length: " + ", ".join(bad)
+    lengths = sorted({len(l) for l in lines})
+    if len(lengths) > 1:
+        return None, "mixed line lengths %s" % lengths
+    return Genre(lengths[0]), None
 
 
 def parse_corpus(path, genre_filter=None):
@@ -69,7 +74,7 @@ def parse_corpus(path, genre_filter=None):
         if not record or record.startswith("#"):
             continue
         lines = [seg.strip() for seg in record.split("|")]
-        genre, reason = _classify(lines)
+        genre, reason = quatrain_genre(lines)
         if genre is None:
             report.rejected += 1
             report.reasons.append("record %d: %s" % (lineno, reason))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import BOS, N_RESERVED, SEP, UNK, Genre, Poem
 from .model import decode_step, encode, init_decoder_state
-from .prosody import Tone, templates_for
+from .prosody import slot_allows, templates_for
 
 log = logging.getLogger(__name__)
 
@@ -70,15 +70,17 @@ class _Hyp:
     relaxations: list = field(default_factory=list)
 
 
-def constraint_mask(kind, line, pos, dist, vocab, tone_dict, template,
-                    rhyme_group, tone_on, rhyme_on, genre):
+def constraint_mask(kind, line, pos, dist, table, template, rhyme_group,
+                    tone_on, rhyme_on, genre):
     """Mask and renormalize one step's distribution.
 
     Structure masking (reserved tokens at char positions, everything but SEP
     at separator positions) is unconditional. Tone masking follows the bound
     template's slot; rhyme masking applies at the final characters of lines 2
-    and 4 (group bound by line 2, matched by line 4). If all mass is removed,
-    constraints are relaxed rhyme first, then tone; relaxations are returned.
+    and 4 (group bound by line 2, matched by line 4). `table` holds the tone
+    codes and rhyme groups of the vocabulary (`ToneDict.tables`). If all mass
+    is removed, constraints are relaxed rhyme first, then tone; relaxations
+    are returned.
     """
     p = np.asarray(dist, dtype=np.float64).copy()
     relaxations = []
@@ -93,35 +95,18 @@ def constraint_mask(kind, line, pos, dist, vocab, tone_dict, template,
     structural = np.zeros_like(p)
     structural[N_RESERVED:] = 1.0
 
-    def tone_mask():
-        m = np.ones_like(p)
-        if tone_on and template is not None:
-            slot = template.slot(line, pos)
-            if slot != "*":
-                for idx in range(N_RESERVED, p.shape[0]):
-                    t = tone_dict.tone(vocab.char(idx))
-                    if t != Tone.UNKNOWN and t.value != slot:
-                        m[idx] = 0.0
-        return m
+    tone = rhyme = True
+    if tone_on and template is not None:
+        tone = slot_allows(template.slot(line, pos), table[0])
+    if rhyme_on and pos == genre.value - 1 and line in (1, 3):
+        rhyme = np.not_equal(table[1], None)    # a rhyme needs a known group
+        if line == 3:
+            rhyme &= table[1] == rhyme_group
 
-    def rhyme_mask():
-        m = np.ones_like(p)
-        L = genre.value
-        if rhyme_on and pos == L - 1 and line in (1, 3):
-            for idx in range(N_RESERVED, p.shape[0]):
-                g = tone_dict.rhyme_group(vocab.char(idx))
-                if line == 1:
-                    if g is None:       # group must be bindable
-                        m[idx] = 0.0
-                else:
-                    if g is None or g != rhyme_group:
-                        m[idx] = 0.0
-        return m
-
-    masked = p * structural * tone_mask() * rhyme_mask()
+    masked = p * structural * tone * rhyme
     if masked.sum() <= 0.0 and rhyme_on:
         relaxations.append({"line": line, "pos": pos, "dropped": "rhyme"})
-        masked = p * structural * tone_mask()
+        masked = p * structural * tone
     if masked.sum() <= 0.0 and tone_on:
         relaxations.append({"line": line, "pos": pos, "dropped": "tone"})
         masked = p * structural
@@ -145,6 +130,9 @@ def beam_search_generate(req, mparams, vocab, rules):
         bindings = [None]
     if (req.tone or req.rhyme) and rules.tone_dict is None:
         raise GenerationError("tone and rhyme constraints need a tone dictionary")
+    table = None
+    if rules.tone_dict is not None:
+        table = rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
     cfg = mparams.cfg
     nodes = mparams.wrap()
     keywords = req.keywords.split() if req.sep_keywords else ["".join(req.keywords.split())]
@@ -170,8 +158,8 @@ def beam_search_generate(req, mparams, vocab, rules):
         for hyp in beam:
             s_new, dist, info = decode_step(hyp.state, hyp.prev, enc, nodes, cfg)
             masked, relax = constraint_mask(
-                kind, line, pos, dist.value, vocab, rules.tone_dict,
-                hyp.template, hyp.rhyme_group, req.tone, req.rhyme, req.genre)
+                kind, line, pos, dist.value, table, hyp.template,
+                hyp.rhyme_group, req.tone, req.rhyme, req.genre)
             if relax:
                 step_rec.setdefault("relaxations", []).extend(relax)
             if kind == "sep":
@@ -184,8 +172,8 @@ def beam_search_generate(req, mparams, vocab, rules):
                 logp = hyp.logp + float(np.log(masked[idx]))
                 group = hyp.rhyme_group
                 if (kind == "char" and line == 1 and pos == req.genre.value - 1
-                        and rules.tone_dict is not None):
-                    group = rules.tone_dict.rhyme_group(vocab.char(idx))
+                        and table is not None):
+                    group = table[1][idx]
                 pool.append((logp, _Hyp(
                     tokens=hyp.tokens + [idx], state=s_new, prev=idx, logp=logp,
                     template=hyp.template, rhyme_group=group,

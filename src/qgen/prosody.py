@@ -11,7 +11,9 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .corpus import Genre
+import numpy as np
+
+from .corpus import Genre, quatrain_genre
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +44,13 @@ class ToneDict:
 
     def rhyme_group(self, char):
         return self.groups.get(char)
+
+    def tables(self, chars):
+        """Tone codes ('P'/'Z'/'?') and rhyme groups (None where unknown) of
+        `chars`, as two arrays indexed like `chars`."""
+        tones = np.array([self.tone(c).value for c in chars])
+        groups = np.array([self.rhyme_group(c) for c in chars], dtype=object)
+        return tones, groups
 
     def __len__(self):
         return len(self.tones)
@@ -85,15 +94,9 @@ def load_templates(path):
         nonlocal block_id, block
         if not block:
             return
-        if len(block) != 4:
-            raise ProsodyError("template %r has %d lines, expected 4" % (block_id, len(block)))
-        lengths = {len(l) for l in block}
-        if lengths == {5}:
-            genre = Genre.FIVE_CHAR
-        elif lengths == {7}:
-            genre = Genre.SEVEN_CHAR
-        else:
-            raise ProsodyError("template %r has line lengths %s" % (block_id, sorted(lengths)))
+        genre, reason = quatrain_genre(block)
+        if genre is None:
+            raise ProsodyError("template %r: %s" % (block_id, reason))
         templates.append(TonalTemplate(block_id or "t%d" % len(templates), genre, list(block)))
         block_id, block = None, []
 
@@ -118,24 +121,18 @@ def templates_for(templates, genre):
 
 def validate_structure(lines):
     """Return the genre of 4 x 5 or 4 x 7 character lines, else raise."""
-    if len(lines) != 4:
-        raise StructureError("expected 4 lines, got %d" % len(lines))
-    bad = [(i + 1, len(l)) for i, l in enumerate(lines) if len(l) not in (5, 7)]
-    if bad:
-        raise StructureError("lines with bad length: %s"
-                             % ", ".join("line %d has %d chars" % b for b in bad))
-    lengths = {len(l) for l in lines}
-    if lengths == {5}:
-        return Genre.FIVE_CHAR
-    if lengths == {7}:
-        return Genre.SEVEN_CHAR
-    raise StructureError("mixed line lengths %s" % sorted(lengths))
+    genre, reason = quatrain_genre(lines)
+    if genre is None:
+        raise StructureError(reason)
+    return genre
 
 
-def _slot_ok(slot, tone):
-    if slot == "*" or tone == Tone.UNKNOWN:
-        return True
-    return tone.value == slot
+def slot_allows(slot, tone):
+    """Whether a template slot (P/Z/*) admits a tone code (P/Z/?).
+
+    `tone` may be one code or an array of codes; Unknown fits any slot.
+    """
+    return (slot == "*") | (tone == "?") | (tone == slot)
 
 
 def match_tonal_template(lines, tone_dict, templates):
@@ -157,7 +154,7 @@ def match_tonal_template(lines, tone_dict, templates):
         for li, line in enumerate(lines):
             for pi, char in enumerate(line):
                 tone = tone_dict.tone(char)
-                if _slot_ok(t.slot(li, pi), tone):
+                if slot_allows(t.slot(li, pi), tone.value):
                     score += 1
                 else:
                     violations.append((li, pi, t.slot(li, pi), tone.value))

@@ -11,6 +11,8 @@ header, then length-prefixed named tensors as little-endian doubles.
 """
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +21,8 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, Genre, Vocab
-from .model import ModelConfig, ModelParams, decode_step, encode, init_decoder_state
+from .model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_step, encode,
+                    init_decoder_state, param_shapes)
 
 
 class GenreMode(Enum):
@@ -207,6 +210,8 @@ def train(examples, mparams, config, opt_state=None, eval_fn=None,
 
 MAGIC = b"QGEN"
 VERSION = 1
+HEADER_FIELDS = ("hyper", "rho", "epsilon", "step", "train_seed", "vocab", "tensors")
+OPT_PREFIXES = ("opt.eg2.", "opt.edx2.")
 
 
 class CheckpointError(Exception):
@@ -245,15 +250,14 @@ class _Reader:
 
 
 def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
-    """Write a self-describing checkpoint; reload is bit-exact."""
-    tensors = dict(mparams.tensors)
-    out = {}
-    for k, v in tensors.items():
-        out[k] = v
-    for k, v in opt_state.eg2.items():
-        out["opt.eg2." + k] = v
-    for k, v in opt_state.edx2.items():
-        out["opt.edx2." + k] = v
+    """Write a self-describing checkpoint; reload is bit-exact.
+
+    The file is written beside `path` and renamed over it, so a failed write
+    leaves any previous checkpoint at `path` intact.
+    """
+    out = dict(mparams.tensors)
+    for prefix, acc in zip(OPT_PREFIXES, (opt_state.eg2, opt_state.edx2)):
+        out.update((prefix + k, v) for k, v in acc.items())
     out["ind.5"] = mparams.indicators[Genre.FIVE_CHAR]
     out["ind.7"] = mparams.indicators[Genre.SEVEN_CHAR]
     names = sorted(out)
@@ -267,13 +271,19 @@ def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
         "tensors": names,
     }
     hb = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(hb)))
-        f.write(hb)
-        for name in names:
-            _write_tensor(f, name, out[name])
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(hb)))
+            f.write(hb)
+            for name in names:
+                _write_tensor(f, name, out[name])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):
@@ -290,45 +300,64 @@ def load_checkpoint(path):
     hlen = r.u64("header length")
     try:
         header = json.loads(r.take(hlen, "header").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CheckpointError("corrupt header at offset 16: %s" % e) from e
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    missing = [k for k in HEADER_FIELDS if k not in header]
+    if missing:
+        raise CheckpointError("checkpoint header lacks %s" % ", ".join(missing))
+    if not isinstance(header["tensors"], list):
+        raise CheckpointError("checkpoint header 'tensors' is not a list")
     tensors = {}
     for expected in header["tensors"]:
         nlen = r.u32("tensor name length")
-        name = r.take(nlen, "tensor name").decode("utf-8")
+        name = r.take(nlen, "tensor name").decode("utf-8", "replace")
         if name != expected:
             raise CheckpointError("tensor order mismatch at offset %d: %r vs %r"
                                   % (r.off, name, expected))
         ndim = r.u32("rank")
         shape = tuple(r.u64("dim") for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         raw = r.take(count * 8, "tensor %r data" % name)
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if r.off != len(data):
         raise CheckpointError("trailing bytes at offset %d" % r.off)
 
-    cfg = ModelConfig(**header["hyper"])
-    params = {}
-    eg2 = {}
-    edx2 = {}
-    for name, arr in tensors.items():
-        if name.startswith("opt.eg2."):
-            eg2[name[len("opt.eg2."):]] = arr
-        elif name.startswith("opt.edx2."):
-            edx2[name[len("opt.edx2."):]] = arr
-        elif not name.startswith("ind."):
-            params[name] = arr
+    try:
+        cfg = ModelConfig(**header["hyper"])
+        shapes = param_shapes(cfg)
+    except TypeError as e:
+        raise CheckpointError("bad hyper parameters %r: %s" % (header["hyper"], e)) from e
+    want = {"ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
+    for prefix in ("",) + OPT_PREFIXES:
+        want.update((prefix + k, shape) for k, shape in shapes.items())
+    if set(tensors) != set(want):
+        raise CheckpointError("tensors missing %s, unexpected %s"
+                              % (sorted(set(want) - set(tensors)),
+                                 sorted(set(tensors) - set(want))))
+    for name, shape in want.items():
+        if tensors[name].shape != shape:
+            raise CheckpointError("tensor %r has shape %s, hyper parameters give %s"
+                                  % (name, tensors[name].shape, shape))
+
+    params = {k: tensors[k] for k in shapes}
     indicators = {Genre.FIVE_CHAR: tensors["ind.5"], Genre.SEVEN_CHAR: tensors["ind.7"]}
     mparams = ModelParams(cfg, params, indicators)
-    state = nm.AdaDeltaState(params, rho=header["rho"], epsilon=header["epsilon"])
-    state.eg2 = eg2
-    state.edx2 = edx2
+    try:
+        state = nm.AdaDeltaState(params, rho=header["rho"], epsilon=header["epsilon"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError("bad optimizer settings: %s" % e) from e
+    state.eg2, state.edx2 = ({k: tensors[prefix + k] for k in shapes} for prefix in OPT_PREFIXES)
     vocab = Vocab()
-    vocab.char_to_id = {}
-    vocab.id_to_char = {}
-    for char, idx, freq in header["vocab"]:
-        vocab.char_to_id[char] = idx
-        vocab.id_to_char[idx] = char
-        if freq:
-            vocab.freq[char] = freq
+    try:
+        vocab.char_to_id = {char: idx for char, idx, _ in header["vocab"]}
+        vocab.freq = {char: freq for char, _, freq in header["vocab"] if freq}
+        ids = set(vocab.char_to_id.values())
+    except (TypeError, ValueError) as e:
+        raise CheckpointError("bad vocabulary in header: %s" % e) from e
+    if len(vocab) != cfg.vocab_size or ids != set(range(len(vocab))):
+        raise CheckpointError("vocabulary of %d entries does not hold ids 0..%d"
+                              % (len(vocab), cfg.vocab_size - 1))
+    vocab.id_to_char = {idx: char for char, idx in vocab.char_to_id.items()}
     return mparams, state, vocab, header["step"], header["train_seed"]

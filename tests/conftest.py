@@ -1,6 +1,9 @@
-"""Shared fixtures: packaged data paths, the session-wide overfit model, and
-a summary line per acceptance criterion printed at the end of the run."""
+"""Shared fixtures: packaged data paths, malformed checkpoint headers, the
+session-wide overfit model, and a summary line per acceptance criterion
+printed at the end of the run."""
 
+import json
+import struct
 import time
 from importlib import resources
 
@@ -30,6 +33,26 @@ def pytest_terminal_summary(terminalreporter):
 
 def data_path(name):
     return str(resources.files("qgen").joinpath("data", name))
+
+
+def edit_checkpoint_header(blob, edit):
+    """A checkpoint's bytes with its JSON header replaced by edit(header)."""
+    hlen = struct.unpack("<Q", blob[8:16])[0]
+    header = edit(json.loads(blob[16:16 + hlen].decode("utf-8")))
+    hb = json.dumps(header, ensure_ascii=False).encode("utf-8")
+    return blob[:8] + struct.pack("<Q", len(hb)) + hb + blob[16 + hlen:]
+
+
+# Header edits that each make a checkpoint malformed, with the error they give.
+BAD_HEADERS = {
+    "not an object": (lambda h: [h], "not a JSON object"),
+    "missing field": (lambda h: {k: v for k, v in h.items() if k != "rho"}, "lacks rho"),
+    "unknown hyper key": (lambda h: {**h, "hyper": {**h["hyper"], "colour": 1}},
+                          "hyper parameters"),
+    "hyper over other shapes": (lambda h: {**h, "hyper": {**h["hyper"], "d": 7}},
+                                "shape"),
+    "short vocabulary": (lambda h: {**h, "vocab": h["vocab"][:-1]}, "vocabulary"),
+}
 
 
 OVERFIT_SEED = 123

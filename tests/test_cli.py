@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import data_path
+from conftest import BAD_HEADERS, data_path, edit_checkpoint_header
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 FIVE = "月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
@@ -95,6 +95,18 @@ def test_generate_without_tone_dict_is_one_line_failure(workdir, trained, capsys
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+def test_generate_malformed_checkpoint_is_one_line_failure(workdir, trained, capsys, case):
+    edit, match = BAD_HEADERS[case]
+    with open(trained, "rb") as f:
+        (workdir / "bad.ckpt").write_bytes(edit_checkpoint_header(f.read(), edit))
+    assert main(["generate", "--checkpoint", "bad.ckpt", "--keywords", "月黑雁飞高",
+                 "--genre", "5"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("qgen: ") and match in err
+    assert len(err.splitlines()) == 1
+
+
 def test_validate_compliant_poem(workdir, capsys):
     (workdir / "poem.txt").write_text(FIVE + "\n", encoding="utf-8")
     assert main(["validate", "--poem", "poem.txt"]) == EXIT_OK
@@ -155,8 +167,25 @@ def test_qgen_config_env_defaults(workdir, trained, capsys, monkeypatch):
     assert manifest["seeds"]["seed"] == 9
 
 
+@pytest.mark.parametrize("cfg", [
+    {"beam": 2.5}, {"beam": [2]}, {"beam": None}, {"beam": True}, {"seed": "x"},
+    {"no_tone": 1}, {"no_tone": None}, {"genre": 5}, {"genre": "6"},
+    {"tone_dict": 5},
+], ids=json.dumps)
+def test_qgen_config_wrong_value_type(workdir, trained, capsys, monkeypatch, cfg):
+    (workdir / "defaults.json").write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.setenv("QGEN_CONFIG", str(workdir / "defaults.json"))
+    assert main(["generate", "--checkpoint", trained, "--keywords", "月黑雁飞高",
+                 "--genre", "5"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("qgen: bad QGEN_CONFIG: ") and next(iter(cfg)) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_qgen_config_bad_file(workdir, monkeypatch):
     cfg = workdir / "defaults.json"
     cfg.write_text("[1, 2]", encoding="utf-8")
     monkeypatch.setenv("QGEN_CONFIG", str(cfg))
+    assert main(["validate", "--poem", "x"]) == EXIT_USAGE
+    cfg.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     assert main(["validate", "--poem", "x"]) == EXIT_USAGE

@@ -12,7 +12,9 @@ from qgen.generation import (GenerationError, GenRequest, ProsodyRules,
                              beam_search_generate, constraint_mask,
                              log_records_to_jsonl, position_plan)
 from qgen.model import ModelConfig, ModelParams, decode_step, encode, init_decoder_state
-from qgen.prosody import load_templates, load_tone_dict, validate_structure
+from qgen.prosody import (Tone, load_templates, load_tone_dict,
+                          match_tonal_template, slot_allows, templates_for,
+                          validate_structure)
 
 POEMS = [
     Poem(Genre.FIVE_CHAR, ["月黑雁飞高", "单于夜遁逃", "欲将轻骑逐", "大雪满弓刀"]),
@@ -30,6 +32,10 @@ def world():
     rules = ProsodyRules(tone_dict=load_tone_dict(data_path("tone_dict.tsv")),
                          templates=load_templates(data_path("templates.txt")))
     return vocab, mparams, rules
+
+
+def tables(vocab, rules):
+    return rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
 
 
 def test_position_plan():
@@ -52,7 +58,7 @@ def test_request_validation():
 def test_mask_sep_position(world):
     vocab, _, rules = world
     dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, relax = constraint_mask("sep", 1, -1, dist, vocab, rules.tone_dict,
+    p, relax = constraint_mask("sep", 1, -1, dist, tables(vocab, rules),
                                None, None, True, True, Genre.FIVE_CHAR)
     assert p[SEP] == 1.0 and p.sum() == 1.0
     assert relax == []
@@ -61,7 +67,7 @@ def test_mask_sep_position(world):
 def test_mask_excludes_reserved_tokens(world):
     vocab, _, rules = world
     dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, relax = constraint_mask("char", 0, 0, dist, vocab, rules.tone_dict,
+    p, relax = constraint_mask("char", 0, 0, dist, tables(vocab, rules),
                                None, None, False, False, Genre.FIVE_CHAR)
     assert np.all(p[:N_RESERVED] == 0.0)
     assert abs(p.sum() - 1.0) < 1e-12
@@ -73,7 +79,7 @@ def test_mask_enforces_tone_slot(world):
     template = [t for t in rules.templates if t.template_id == "wu_3"][0]
     assert template.slot(0, 4) == "P"      # known-tone slot
     dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, _ = constraint_mask("char", 0, 4, dist, vocab, rules.tone_dict,
+    p, _ = constraint_mask("char", 0, 4, dist, tables(vocab, rules),
                            template, None, True, True, Genre.FIVE_CHAR)
     from qgen.prosody import Tone
     for idx in range(N_RESERVED, len(vocab)):
@@ -88,13 +94,13 @@ def test_mask_rhyme_binding_and_match(world):
     vocab, _, rules = world
     dist = np.full(len(vocab), 1.0 / len(vocab))
     # line 2 final: only characters with a known rhyme group stay
-    p, _ = constraint_mask("char", 1, 4, dist, vocab, rules.tone_dict,
+    p, _ = constraint_mask("char", 1, 4, dist, tables(vocab, rules),
                            None, None, False, True, Genre.FIVE_CHAR)
     for idx in range(N_RESERVED, len(vocab)):
         known = rules.tone_dict.rhyme_group(vocab.char(idx)) is not None
         assert (p[idx] > 0) == known
     # line 4 final: only the bound group stays
-    p, _ = constraint_mask("char", 3, 4, dist, vocab, rules.tone_dict,
+    p, _ = constraint_mask("char", 3, 4, dist, tables(vocab, rules),
                            None, "ao", False, True, Genre.FIVE_CHAR)
     for idx in range(N_RESERVED, len(vocab)):
         assert (p[idx] > 0) == (rules.tone_dict.rhyme_group(vocab.char(idx)) == "ao")
@@ -107,11 +113,96 @@ def test_mask_relaxation_order_and_logging(world):
     dist = np.zeros(len(vocab))
     dist[SEP] = 1.0
     template = [t for t in rules.templates if t.template_id == "wu_3"][0]
-    p, relax = constraint_mask("char", 3, 4, dist, vocab, rules.tone_dict,
+    p, relax = constraint_mask("char", 3, 4, dist, tables(vocab, rules),
                                template, "ao", True, True, Genre.FIVE_CHAR)
     assert [r["dropped"] for r in relax] == ["rhyme", "tone", "model"]
     assert np.all(p[:N_RESERVED] == 0.0)
     assert abs(p.sum() - 1.0) < 1e-12
+
+
+def reference_mask(line, pos, dist, vocab, tone_dict, template, rhyme_group,
+                   tone_on, rhyme_on, genre):
+    """Per-character masking loop at a char position: the oracle that the
+    table-driven constraint_mask must reproduce bit for bit."""
+    p = np.asarray(dist, dtype=np.float64).copy()
+    structural = np.zeros_like(p)
+    structural[N_RESERVED:] = 1.0
+    tone = np.ones_like(p)
+    rhyme = np.ones_like(p)
+    for idx in range(N_RESERVED, len(p)):
+        t = tone_dict.tone(vocab.char(idx))
+        g = tone_dict.rhyme_group(vocab.char(idx))
+        if tone_on and template is not None:
+            slot = template.slot(line, pos)
+            if slot != "*" and t != Tone.UNKNOWN and t.value != slot:
+                tone[idx] = 0.0
+        if rhyme_on and pos == genre.value - 1 and line in (1, 3):
+            if g is None or (line == 3 and g != rhyme_group):
+                rhyme[idx] = 0.0
+    relaxations = []
+    masked = p * structural * tone * rhyme
+    if masked.sum() <= 0.0 and rhyme_on:
+        relaxations.append({"line": line, "pos": pos, "dropped": "rhyme"})
+        masked = p * structural * tone
+    if masked.sum() <= 0.0 and tone_on:
+        relaxations.append({"line": line, "pos": pos, "dropped": "tone"})
+        masked = p * structural
+    if masked.sum() <= 0.0:
+        relaxations.append({"line": line, "pos": pos, "dropped": "model"})
+        masked = structural.copy()
+    return masked / masked.sum(), relaxations
+
+
+def test_mask_matches_per_character_oracle(world):
+    _, _, rules = world
+    td = rules.tone_dict
+    # every dictionary character, the fixture poems' characters (some of
+    # them missing from the dictionary) and one more unknown character
+    vocab = build_vocab(POEMS + [Poem(Genre.FIVE_CHAR, ["".join(td.tones) + "瞾"])])
+    table = tables(vocab, rules)
+    rng = np.random.default_rng(0)
+    dist = rng.random(len(vocab))
+    dist /= dist.sum()
+    on_reserved = np.zeros(len(vocab))
+    on_reserved[SEP] = 1.0
+    groups = sorted(set(td.groups.values())) + [None]
+
+    def check(line, pos, dist, template, group, tone_on, rhyme_on, genre):
+        got = constraint_mask("char", line, pos, dist, table, template, group,
+                              tone_on, rhyme_on, genre)
+        want = reference_mask(line, pos, dist, vocab, td, template, group,
+                              tone_on, rhyme_on, genre)
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+
+    for genre in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
+        last = genre.value - 1
+        for template in templates_for(rules.templates, genre):
+            for line in range(4):
+                for pos in range(genre.value):
+                    for rhyme_on in (False, True):
+                        check(line, pos, dist, template, "ao", True, rhyme_on, genre)
+        for line in (1, 3):
+            for group in groups:
+                check(line, last, dist, None, group, False, True, genre)
+        template = templates_for(rules.templates, genre)[0]
+        for group in ("ao", None):
+            check(3, last, on_reserved, template, group, True, True, genre)
+            check(0, 0, on_reserved, template, group, True, True, genre)
+            check(3, last, on_reserved, None, group, False, False, genre)
+
+
+def test_slot_allows_agrees_with_template_violations(world):
+    _, _, rules = world
+    td = rules.tone_dict
+    poems = [p.lines for p in POEMS] + [["高高高高高"] * 4, ["月黑雁飞瞾"] * 4]
+    for lines in poems:
+        best, violations = match_tonal_template(lines, td, rules.templates)
+        L = len(lines[0])
+        tones = td.tables("".join(lines))[0]
+        slots = np.array(list("".join(best.lines)))
+        bad = np.flatnonzero(~slot_allows(slots, tones))
+        assert violations == [(i // L, i % L, slots[i], tones[i]) for i in bad]
 
 
 def test_generation_structure_and_determinism(world):

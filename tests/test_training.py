@@ -1,15 +1,18 @@
 """Training loop, loss oracles, and checkpoint serialization."""
 
+import os
+
 import numpy as np
 import pytest
 
+from conftest import BAD_HEADERS, edit_checkpoint_header
 from qgen import numerics as nm
 from qgen.corpus import BOS, Genre, Poem, build_training_sequence, build_vocab
 from qgen.model import (ModelConfig, ModelParams, decode_step, encode,
                         init_decoder_state)
 from qgen.training import (CheckpointError, GenreMode, TrainConfig,
-                           _check_genre_mode, _genre_pure_batches, batch_loss,
-                           load_checkpoint, save_checkpoint,
+                           _check_genre_mode, _genre_pure_batches, _write_tensor,
+                           batch_loss, load_checkpoint, save_checkpoint,
                            teacher_forced_argmax, train, train_epoch)
 
 POEMS_5 = [
@@ -205,6 +208,78 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
     bad.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(str(bad))
+
+    # first tensor's dims set to 2**32 each: their product overflows int64
+    hlen = struct.unpack("<Q", blob[8:16])[0]
+    nlen = struct.unpack("<I", blob[16 + hlen:20 + hlen])[0]
+    at = 20 + hlen + nlen
+    ndim = struct.unpack("<I", blob[at:at + 4])[0]
+    assert ndim == 2
+    bad.write_bytes(blob[:at + 4] + struct.pack("<QQ", 2**32, 2**32) + blob[at + 20:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(str(bad))
+
+    deep = b"[" * 100000 + b"]" * 100000
+    bad.write_bytes(blob[:8] + struct.pack("<Q", len(deep)) + deep)
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        load_checkpoint(str(bad))
+
+    # first tensor name no longer UTF-8
+    bad.write_bytes(blob[:20 + hlen] + b"\xff" + blob[21 + hlen:])
+    with pytest.raises(CheckpointError, match="order mismatch"):
+        load_checkpoint(str(bad))
+
+
+def _drop_tensor(mp, opt):
+    del mp.tensors["out.b"]
+
+
+def _bad_optimizer_shape(mp, opt):
+    opt.eg2["emb"] = np.zeros((1, 1))
+
+
+@pytest.mark.parametrize("edit_header, edit_state, match", [
+    *[(edit, None, match) for edit, match in BAD_HEADERS.values()],
+    (None, _drop_tensor, "missing \\['out.b'\\]"),
+    (None, _bad_optimizer_shape, "'opt.eg2.emb' has shape"),
+], ids=[*BAD_HEADERS, "missing tensor", "optimizer shape"])
+def test_checkpoint_malformed_contents(tmp_path, setup, edit_header, edit_state, match):
+    _, vocab, _, cfg = setup
+    mp = ModelParams.initialize(cfg)
+    opt = nm.AdaDeltaState(mp.tensors)
+    if edit_state:
+        edit_state(mp, opt)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), mp, opt, vocab, 0, 0)
+    if edit_header:
+        path.write_bytes(edit_checkpoint_header(path.read_bytes(), edit_header))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(str(path))
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, setup, monkeypatch):
+    _, vocab, _, cfg = setup
+    mp = ModelParams.initialize(cfg)
+    opt = nm.AdaDeltaState(mp.tensors)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), mp, opt, vocab, 3, 0)
+    blob = path.read_bytes()
+
+    calls = []
+
+    def failing_write(f, name, arr):
+        calls.append(name)
+        if len(calls) == 6:
+            raise OSError("disk full")
+        _write_tensor(f, name, arr)
+    monkeypatch.setattr("qgen.training._write_tensor", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(str(path), mp, opt, vocab, 4, 0)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    mp2, _, _, step, _ = load_checkpoint(str(path))
+    assert step == 3
+    np.testing.assert_array_equal(mp2.tensors["emb"], mp.tensors["emb"])
 
 
 def test_train_config_validation():
