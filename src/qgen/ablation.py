@@ -65,15 +65,14 @@ def _score(mparams, vocab, held_out, index, seed=0):
     return summary["mean_bleu"]
 
 
-def run_ablation(train_poems, held_out_poems, d=16, H=16, H_dec=16, epochs=5,
-                 seed=0, min_count=1, ref_cap=20):
+def run_ablation(train_poems, held_out_poems, d=16, H=16, H_dec=16, epochs=5, seed=0):
     """Run the cumulative ablation table on a train/held-out poem split.
 
     Returns {"rows": [{"model", "bleu_5", "bleu_7"}, ...]}; entries are None
     where a genre is absent or no keyword has references.
     """
-    vocab = build_vocab(train_poems, min_count=min_count)
-    index = ReferenceIndex(train_poems, cap=ref_cap)
+    vocab = build_vocab(train_poems)
+    index = ReferenceIndex(train_poems)
     by_genre = {g: [p for p in train_poems if p.genre == g]
                 for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR)}
     held_by_genre = {g: [p for p in held_out_poems if p.genre == g]

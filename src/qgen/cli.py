@@ -1,6 +1,6 @@
 """Command line entry point: train / generate / validate / bleu / embed.
 
-Every command writes a RunManifest JSON file next to its output so a run can
+Every command writes a run manifest JSON file next to its output so a run can
 be reproduced bit-exactly from the recorded flags and seed. Machine-readable
 logs are line-JSON; the generated poem itself is plain UTF-8 text.
 
@@ -15,7 +15,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from importlib import resources
 
 from . import __version__
@@ -57,37 +56,19 @@ def _build_id():
     return "qgen-" + __version__
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seeds: dict
-    inputs: list
-    outputs: list
-    build_id: str
-    wall_time_s: float
-
-    def write(self, path):
-        payload = {"command": self.command, "config": self.config,
-                   "seeds": self.seeds, "inputs": self.inputs,
-                   "outputs": self.outputs, "build_id": self.build_id,
-                   "wall_time_s": self.wall_time_s}
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, ensure_ascii=False, indent=2)
-            f.write("\n")
-
-
 def _manifest(args, started, inputs, outputs):
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func", "manifest") and not callable(v)}
-    m = RunManifest(command=args.command, config=cfg,
-                    seeds={"seed": getattr(args, "seed", None)},
-                    inputs=[str(p) for p in inputs if p],
-                    outputs=[str(p) for p in outputs if p],
-                    build_id=_build_id(),
-                    wall_time_s=round(time.monotonic() - started, 3))
-    path = args.manifest or (args.command + ".manifest.json")
-    m.write(path)
+    payload = {"command": args.command, "config": cfg,
+               "seeds": {"seed": getattr(args, "seed", None)},
+               "inputs": [str(p) for p in inputs if p],
+               "outputs": [str(p) for p in outputs if p],
+               "build_id": _build_id(),
+               "wall_time_s": round(time.monotonic() - started, 3)}
+    with open(args.manifest or (args.command + ".manifest.json"), "w",
+              encoding="utf-8") as f:
+        json.dump(payload, f, ensure_ascii=False, indent=2)
+        f.write("\n")
 
 
 def _load_rules(args):

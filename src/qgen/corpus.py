@@ -105,11 +105,6 @@ class Vocab:
     def encode(self, text):
         return [self.id(c) for c in text]
 
-    def export_tsv(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            for char, idx in self.char_to_id.items():
-                f.write("%s\t%d\t%d\n" % (char, idx, self.freq.get(char, 0)))
-
 
 def build_vocab(poems, min_count=1):
     """Count characters over poems; chars below min_count fall back to UNK.
@@ -137,24 +132,13 @@ def build_vocab(poems, min_count=1):
     return vocab
 
 
-def filter_poems(poems, vocab, max_unk_fraction=0.99):
-    """Drop poems whose UNK fraction exceeds the threshold.
+def filter_poems(poems, vocab):
+    """Drop poems with no in-vocabulary character.
 
-    Returns (kept, removed_count). The default 0.99 removes exactly the poems
-    made up entirely of out-of-vocabulary characters.
+    Returns (kept, removed_count).
     """
-    if not 0.0 <= max_unk_fraction <= 1.0:
-        raise ValueError("max_unk_fraction must be in [0,1]")
-    kept = []
-    removed = 0
-    for poem in poems:
-        chars = poem.chars()
-        unk = sum(1 for c in chars if vocab.id(c) == UNK)
-        if unk / len(chars) > max_unk_fraction:
-            removed += 1
-        else:
-            kept.append(poem)
-    return kept, removed
+    kept = [p for p in poems if any(vocab.id(c) != UNK for c in p.chars())]
+    return kept, len(poems) - len(kept)
 
 
 @dataclass

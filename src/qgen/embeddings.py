@@ -8,6 +8,9 @@ implementation is single threaded and bit-reproducible under a fixed seed.
 import numpy as np
 
 from .corpus import N_RESERVED
+from .model import INIT_RANGE
+
+SGD_LR = 0.025
 
 
 class EmbeddingMatrix:
@@ -36,16 +39,27 @@ class EmbeddingMatrix:
 
     @classmethod
     def load_text(cls, path):
+        """Read a `save_text` file; a malformed one raises ValueError naming
+        the path and line."""
         with open(path, encoding="utf-8") as f:
-            head = f.readline().split()
-            n, d = int(head[0]), int(head[1])
-            chars = []
-            mat = np.empty((n, d))
-            for i in range(n):
-                parts = f.readline().rstrip("\n").split(" ")
-                chars.append(parts[0])
-                mat[i] = [float(x) for x in parts[1:]]
-        return cls(chars, mat)
+            lines = f.read().rstrip("\n").split("\n")
+        chars, rows, lineno = [], [], 1
+        try:
+            n, d = (int(x) for x in lines[0].split())
+            if n < 1 or d < 1:
+                raise ValueError("row count and dimension must be positive")
+            for lineno, line in enumerate(lines[1:n + 1], start=2):
+                char, *vec = line.split(" ")
+                if len(vec) != d:
+                    raise ValueError("%d values, expected %d" % (len(vec), d))
+                chars.append(char)
+                rows.append([float(x) for x in vec])
+            if len(rows) < n:
+                lineno = len(lines) + 1
+                raise ValueError("file ends after %d of %d rows" % (len(rows), n))
+        except ValueError as e:
+            raise ValueError("embeddings %s line %d: %s" % (path, lineno, e)) from e
+        return cls(chars, np.array(rows))
 
 
 def skipgram_pairs(chars, window):
@@ -57,9 +71,9 @@ def skipgram_pairs(chars, window):
                 yield i, j
 
 
-def negative_sampling_table(freqs, power=0.75):
+def negative_sampling_table(freqs):
     """Unigram^0.75 sampling distribution over char indices; sums to 1."""
-    p = np.asarray(freqs, dtype=np.float64) ** power
+    p = np.asarray(freqs, dtype=np.float64) ** 0.75
     return p / p.sum()
 
 
@@ -88,16 +102,15 @@ def pair_loss_grads(u, v, v_negs):
     return du, dv, dnegs
 
 
-def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1,
-                   seed=0, lr=0.025):
+def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0):
     """Pretrain character vectors on a character stream.
 
     Plain SGD at a fixed learning rate over all (center, context) pairs;
     negatives are drawn from the unigram^0.75 distribution. Deterministic
     given the seed. Returns an EmbeddingMatrix of the input vectors.
     """
-    if window < 1 or negatives < 1 or d < 2:
-        raise ValueError("window >= 1, negatives >= 1, d >= 2 required")
+    if window < 1 or negatives < 1 or d < 2 or epochs < 1:
+        raise ValueError("window >= 1, negatives >= 1, d >= 2, epochs >= 1 required")
     chars = list(corpus_chars)
     if len(chars) < window + 1:
         raise ValueError("corpus of %d chars is shorter than window+1" % len(chars))
@@ -122,10 +135,10 @@ def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1,
             negs = rng.choice(V, size=negatives, p=neg_p)
             u = vec_in[c]
             du, dv, dnegs = pair_loss_grads(u, vec_out[ctx], [vec_out[k] for k in negs])
-            vec_out[ctx] -= lr * dv
+            vec_out[ctx] -= SGD_LR * dv
             for k, dn in zip(negs, dnegs):
-                vec_out[k] -= lr * dn
-            vec_in[c] = u - lr * du
+                vec_out[k] -= SGD_LR * dn
+            vec_in[c] = u - SGD_LR * du
     return EmbeddingMatrix(order, vec_in)
 
 
@@ -136,19 +149,19 @@ def cosine(a, b):
     return float(np.dot(a, b) / (na * nb))
 
 
-def init_embedding_matrix(pretrained, model_vocab, d, seed=0, init_range=0.08):
+def init_embedding_matrix(pretrained, model_vocab, d, seed=0):
     """Build the model's V x d embedding init from pretrained vectors.
 
     Rows for characters found in the pretraining vocab are copied; reserved
-    tokens and missing characters are drawn uniform in [-init_range, init_range]
-    from the seed.
+    tokens and missing characters are drawn uniform in [-INIT_RANGE,
+    INIT_RANGE] from the seed.
     """
     if pretrained is not None and pretrained.d != d:
         raise ValueError("pretrained dimension %d != model dimension %d"
                          % (pretrained.d, d))
     rng = np.random.Generator(np.random.PCG64(seed))
     V = len(model_vocab)
-    mat = rng.uniform(-init_range, init_range, size=(V, d))
+    mat = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(V, d))
     if pretrained is not None:
         for char, idx in model_vocab.char_to_id.items():
             if idx >= N_RESERVED and char in pretrained.row:

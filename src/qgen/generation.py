@@ -48,7 +48,8 @@ class GenerationError(Exception):
 
 
 def position_plan(genre):
-    """Step descriptors: ('char', line, pos) and ('sep',) entries."""
+    """Step descriptors: ("char", line, pos), and ("sep", line, -1) before
+    lines 2-4."""
     L = genre.value
     plan = []
     for line in range(4):
@@ -70,28 +71,20 @@ class _Hyp:
     relaxations: list = field(default_factory=list)
 
 
-def constraint_mask(kind, line, pos, dist, table, template, rhyme_group,
+def constraint_mask(line, pos, dist, table, template, rhyme_group,
                     tone_on, rhyme_on, genre):
-    """Mask and renormalize one step's distribution.
+    """Mask and renormalize the distribution of one character position.
 
-    Structure masking (reserved tokens at char positions, everything but SEP
-    at separator positions) is unconditional. Tone masking follows the bound
-    template's slot; rhyme masking applies at the final characters of lines 2
-    and 4 (group bound by line 2, matched by line 4). `table` holds the tone
-    codes and rhyme groups of the vocabulary (`ToneDict.tables`). If all mass
-    is removed, constraints are relaxed rhyme first, then tone; relaxations
-    are returned.
+    Structure masking (no reserved token) is unconditional. Tone masking
+    follows the bound template's slot; rhyme masking applies at the final
+    characters of lines 2 and 4 (group bound by line 2, matched by line 4).
+    `table` holds the tone codes and rhyme groups of the vocabulary
+    (`ToneDict.tables`). If all mass is removed, constraints are relaxed rhyme
+    first, then tone; relaxations are returned. Separator steps never come
+    here: the beam emits SEP there unconditionally.
     """
     p = np.asarray(dist, dtype=np.float64).copy()
     relaxations = []
-    if kind == "sep":
-        mask = np.zeros_like(p)
-        mask[SEP] = 1.0
-        p = p * mask
-        if p.sum() <= 0.0:
-            p = mask            # SEP forced even at zero model mass
-        return p / p.sum(), relaxations
-
     structural = np.zeros_like(p)
     structural[N_RESERVED:] = 1.0
 
@@ -157,22 +150,21 @@ def beam_search_generate(req, mparams, vocab, rules):
         step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": []}
         for hyp in beam:
             s_new, dist, info = decode_step(hyp.state, hyp.prev, enc, nodes, cfg)
-            masked, relax = constraint_mask(
-                kind, line, pos, dist.value, table, hyp.template,
-                hyp.rhyme_group, req.tone, req.rhyme, req.genre)
-            if relax:
-                step_rec.setdefault("relaxations", []).extend(relax)
+            relax = []
             if kind == "sep":
-                cand_ids = [SEP]
+                cands = [(SEP, hyp.logp)]      # forced: no model mass is spent
             else:
+                masked, relax = constraint_mask(
+                    line, pos, dist.value, table, hyp.template,
+                    hyp.rhyme_group, req.tone, req.rhyme, req.genre)
+                if relax:
+                    step_rec.setdefault("relaxations", []).extend(relax)
                 k = min(req.beam_width, int((masked > 0).sum()))
-                cand_ids = np.argsort(masked)[::-1][:k]
-            for idx in cand_ids:
-                idx = int(idx)
-                logp = hyp.logp + float(np.log(masked[idx]))
+                cands = [(int(idx), hyp.logp + float(np.log(masked[idx])))
+                         for idx in np.argsort(masked)[::-1][:k]]
+            for idx, logp in cands:
                 group = hyp.rhyme_group
-                if (kind == "char" and line == 1 and pos == req.genre.value - 1
-                        and table is not None):
+                if line == 1 and pos == req.genre.value - 1 and table is not None:
                     group = table[1][idx]
                 pool.append((logp, _Hyp(
                     tokens=hyp.tokens + [idx], state=s_new, prev=idx, logp=logp,

@@ -33,6 +33,8 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.vocab_size, self.d, self.H, self.H_dec) < 1 or self.A < 0:
+            raise ValueError("vocab_size, d, H and H_dec must be >= 1, and A >= 0")
         if self.A == 0:
             self.A = self.H_dec
 

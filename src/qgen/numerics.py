@@ -202,15 +202,6 @@ def softmax(z):
     return out
 
 
-def softmax_values(v):
-    """Softmax on a plain array (no tape)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim < 1 or v.shape[-1] < 1:
-        raise ShapeError("softmax expects a non-empty vector, got shape %s" % (v.shape,))
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 PROB_FLOOR = 1e-12
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -36,10 +36,6 @@ class TrainConfig:
     epochs: int = 50
     minibatch: int = 8
     seed: int = 0
-    rho: float = 0.95
-    epsilon: float = 1e-6
-    shuffle: bool = True
-    patience: int = 5
     genre_mode: GenreMode = GenreMode.HYBRID
 
     def __post_init__(self):
@@ -147,8 +143,7 @@ def train_epoch(examples, mparams, opt_state, config, epoch=0, rng=None):
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(config.seed + epoch))
     order = np.arange(len(examples))
-    if config.shuffle:
-        rng.shuffle(order)
+    rng.shuffle(order)
     total = 0.0
     genre_tot = {}
     genre_n = {}
@@ -168,40 +163,23 @@ def train_epoch(examples, mparams, opt_state, config, epoch=0, rng=None):
                        genre_loss={g: genre_tot[g] / genre_n[g] for g in genre_tot})
 
 
-def train(examples, mparams, config, opt_state=None, eval_fn=None,
-          stop_below_loss=None, log_fn=None, step0=0):
-    """Epoch loop with optional held-out early stopping.
+def train(examples, mparams, config, stop_below_loss=None, log_fn=None):
+    """Epoch loop from a fresh AdaDelta state.
 
-    eval_fn(mparams) -> score (higher is better); evaluated once per epoch
-    when given, training stops after `config.patience` evaluations without
-    improvement. `stop_below_loss` exits once the epoch mean loss drops under
-    the bound. Returns (opt_state, reports, steps_done).
+    Stops after `config.epochs` epochs, or once the epoch mean loss drops
+    under `stop_below_loss`. Returns (opt_state, reports, epochs_run).
     """
-    if opt_state is None:
-        opt_state = nm.AdaDeltaState(mparams.tensors, rho=config.rho, epsilon=config.epsilon)
+    opt_state = nm.AdaDeltaState(mparams.tensors)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     reports = []
-    best = -np.inf
-    stale = 0
-    step = step0
     for epoch in range(config.epochs):
         report = train_epoch(examples, mparams, opt_state, config, epoch=epoch, rng=rng)
-        step += 1
         reports.append(report)
         if log_fn:
             log_fn(report)
         if stop_below_loss is not None and report.mean_loss < stop_below_loss:
             break
-        if eval_fn is not None:
-            score = eval_fn(mparams)
-            if score > best:
-                best = score
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
-    return opt_state, reports, step
+    return opt_state, reports, len(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +302,17 @@ def load_checkpoint(path):
     if r.off != len(data):
         raise CheckpointError("trailing bytes at offset %d" % r.off)
 
+    hyper = header["hyper"]
+    hyper_types = {f.name: f.type for f in fields(ModelConfig)}
+    if not isinstance(hyper, dict) or any(type(v) is not hyper_types.get(k)
+                                          for k, v in hyper.items()):
+        raise CheckpointError("bad hyper parameters %r: want ints, use_input_attention "
+                              "a bool, keys %s" % (hyper, ", ".join(hyper_types)))
     try:
-        cfg = ModelConfig(**header["hyper"])
+        cfg = ModelConfig(**hyper)
         shapes = param_shapes(cfg)
-    except TypeError as e:
-        raise CheckpointError("bad hyper parameters %r: %s" % (header["hyper"], e)) from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointError("bad hyper parameters %r: %s" % (hyper, e)) from e
     want = {"ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
     for prefix in ("",) + OPT_PREFIXES:
         want.update((prefix + k, shape) for k, shape in shapes.items())
@@ -349,13 +333,15 @@ def load_checkpoint(path):
     except (TypeError, ValueError) as e:
         raise CheckpointError("bad optimizer settings: %s" % e) from e
     state.eg2, state.edx2 = ({k: tensors[prefix + k] for k in shapes} for prefix in OPT_PREFIXES)
+    entries = header["vocab"]
+    if not isinstance(entries, list) or any(
+            not isinstance(e, list) or [type(x) for x in e] != [str, int, int]
+            for e in entries):
+        raise CheckpointError("bad vocabulary in header: entries must be [char, id, count]")
     vocab = Vocab()
-    try:
-        vocab.char_to_id = {char: idx for char, idx, _ in header["vocab"]}
-        vocab.freq = {char: freq for char, _, freq in header["vocab"] if freq}
-        ids = set(vocab.char_to_id.values())
-    except (TypeError, ValueError) as e:
-        raise CheckpointError("bad vocabulary in header: %s" % e) from e
+    vocab.char_to_id = {char: idx for char, idx, _ in entries}
+    vocab.freq = {char: freq for char, _, freq in entries if freq}
+    ids = set(vocab.char_to_id.values())
     if len(vocab) != cfg.vocab_size or ids != set(range(len(vocab))):
         raise CheckpointError("vocabulary of %d entries does not hold ids 0..%d"
                               % (len(vocab), cfg.vocab_size - 1))

@@ -52,6 +52,18 @@ BAD_HEADERS = {
     "hyper over other shapes": (lambda h: {**h, "hyper": {**h["hyper"], "d": 7}},
                                 "shape"),
     "short vocabulary": (lambda h: {**h, "vocab": h["vocab"][:-1]}, "vocabulary"),
+    "non-string character": (lambda h: {**h, "vocab": [[12345, *h["vocab"][-1][1:]]]
+                                         + h["vocab"][:-1]}, "vocabulary"),
+}
+
+
+# Embedding files that are each malformed, with the line their error names.
+BAD_EMBEDDINGS = {
+    "empty": ("", "line 1"),
+    "bad header": ("2 two\n", "line 1"),
+    "truncated": ("3 2\na 0.5 0.25\n", "line 3"),
+    "wrong width": ("2 2\na 0.5 0.25\nb 0.5\n", "line 3"),
+    "not a number": ("1 2\na 0.5 x\n", "line 2"),
 }
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import BAD_HEADERS, data_path, edit_checkpoint_header
+from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_header
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 FIVE = "月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
@@ -55,6 +55,33 @@ def test_train_hybrid_guard_is_runtime_error(workdir, capsys):
                  "--epochs", "1", "--d", "8", "--H", "8", "--H-dec", "8"])
     assert code == EXIT_FAILURE
     assert "Hybrid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "five.txt", "--genre", "5", "--d", "0"],
+    ["train", "--corpus", "five.txt", "--genre", "5", "--H", "0"],
+    ["train", "--corpus", "five.txt", "--genre", "5", "--H-dec", "0"],
+    ["embed", "--corpus", "five.txt", "--d", "8", "--window", "2", "--epochs", "0"],
+], ids=" ".join)
+def test_non_positive_size_is_one_line_failure(workdir, capsys, argv):
+    (workdir / "five.txt").write_text(FIVE + "\n", encoding="utf-8")
+    assert main(argv) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("qgen: ") and ">= 1" in err
+    assert len(err.splitlines()) == 1
+    assert not (workdir / "embeddings.txt").exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EMBEDDINGS))
+def test_train_malformed_embeddings_is_one_line_failure(workdir, capsys, case):
+    text, line = BAD_EMBEDDINGS[case]
+    (workdir / "five.txt").write_text(FIVE + "\n", encoding="utf-8")
+    (workdir / "emb.txt").write_text(text, encoding="utf-8")
+    assert main(["train", "--corpus", "five.txt", "--genre", "5", "--d", "2",
+                 "--H", "2", "--H-dec", "2", "--pretrained-embeddings", "emb.txt"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("qgen: embeddings emb.txt %s: " % line)
+    assert len(err.splitlines()) == 1
 
 
 def test_generate_deterministic_stdout(workdir, trained, capsys):

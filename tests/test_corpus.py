@@ -3,7 +3,7 @@
 import pytest
 
 from qgen.corpus import (BOS, EOS, N_RESERVED, PAD, SEP, UNK, CorpusError,
-                         Genre, build_training_sequence, build_vocab,
+                         Genre, Poem, build_training_sequence, build_vocab,
                          filter_poems, parse_corpus)
 
 FIVE = "月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
@@ -85,16 +85,17 @@ def test_vocab_min_count_validation():
 
 def test_filter_poems_thresholds(tmp_path):
     report = parse_corpus(write_corpus(tmp_path, FIVE + "\n" + SEVEN))
-    vocab = build_vocab([report.poems[0]])
-    # the 7-char poem shares one character with the vocab (27/28 unknown):
-    # the default rule keeps it, a stricter threshold drops it
-    kept, removed = filter_poems(report.poems, vocab)
+    five, seven = report.poems
+    # the 7-char poem shares one character with the 5-char one (27/28
+    # unknown): one in-vocabulary character keeps it
+    kept, removed = filter_poems(report.poems, build_vocab([five]))
     assert removed == 0 and len(kept) == 2
-    kept, removed = filter_poems(report.poems, vocab, max_unk_fraction=0.9)
+    # a vocabulary without that character leaves it none: it is dropped
+    shared = set(five.chars()) & set(seven.chars())
+    rest = Poem(Genre.FIVE_CHAR, ["".join(c for c in five.chars() if c not in shared)])
+    kept, removed = filter_poems(report.poems, build_vocab([rest]))
     assert removed == 1
-    assert [p.genre for p in kept] == [Genre.FIVE_CHAR]
-    with pytest.raises(ValueError):
-        filter_poems(report.poems, vocab, max_unk_fraction=1.5)
+    assert kept == [five]
 
 
 def test_training_sequence_with_echo(tmp_path):
@@ -119,12 +120,3 @@ def test_training_sequence_without_echo(tmp_path):
     assert len(ex.target_ids) == 24     # 4*5 chars + 3 SEP + EOS
     assert ex.target_ids.count(SEP) == 3
 
-
-def test_vocab_export_roundtrip(tmp_path):
-    report = parse_corpus(write_corpus(tmp_path, FIVE))
-    vocab = build_vocab(report.poems)
-    out = tmp_path / "vocab.tsv"
-    vocab.export_tsv(str(out))
-    rows = [l.split("\t") for l in out.read_text(encoding="utf-8").splitlines()]
-    assert len(rows) == len(vocab)
-    assert ["月", str(vocab.id("月")), "1"] in rows

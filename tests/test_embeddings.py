@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import BAD_EMBEDDINGS
 from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab
 from qgen.embeddings import (EmbeddingMatrix, cosine, init_embedding_matrix,
                              negative_sampling_table, pair_loss,
@@ -101,3 +102,14 @@ def test_embedding_matrix_validation_and_args():
         train_skipgram(list("abcdef"), window=0)
     with pytest.raises(ValueError):
         train_skipgram(list("ab"), window=5)
+    with pytest.raises(ValueError, match="epochs"):
+        train_skipgram(list("abcdef"), window=2, epochs=0)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EMBEDDINGS))
+def test_load_text_names_path_and_line(tmp_path, case):
+    text, line = BAD_EMBEDDINGS[case]
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="emb.txt %s:" % line):
+        EmbeddingMatrix.load_text(str(path))

@@ -55,19 +55,25 @@ def test_request_validation():
         GenRequest(keywords="月", genre=Genre.FIVE_CHAR, beam_width=0)
 
 
-def test_mask_sep_position(world):
-    vocab, _, rules = world
-    dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, relax = constraint_mask("sep", 1, -1, dist, tables(vocab, rules),
-                               None, None, True, True, Genre.FIVE_CHAR)
-    assert p[SEP] == 1.0 and p.sum() == 1.0
-    assert relax == []
+def test_beam_emits_sep_the_model_gives_no_mass(world):
+    vocab, mparams, rules = world
+    tensors = {**mparams.tensors, "out.b": mparams.tensors["out.b"].copy()}
+    tensors["out.b"][SEP] = -np.inf
+    no_sep = ModelParams(mparams.cfg, tensors, mparams.indicators)
+    for genre in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
+        req = GenRequest(keywords="月黑雁飞高", genre=genre, beam_width=3, seed=4)
+        poem, records = beam_search_generate(req, no_sep, vocab, rules)
+        assert validate_structure(poem.lines) == genre
+        seps = [r for r in records[:-1] if r["kind"] == "sep"]
+        assert [r["line"] for r in seps] == [1, 2, 3]
+        assert not any("relaxations" in r for r in seps)
+        assert np.isfinite(records[-1]["final_logp"])
 
 
 def test_mask_excludes_reserved_tokens(world):
     vocab, _, rules = world
     dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, relax = constraint_mask("char", 0, 0, dist, tables(vocab, rules),
+    p, relax = constraint_mask(0, 0, dist, tables(vocab, rules),
                                None, None, False, False, Genre.FIVE_CHAR)
     assert np.all(p[:N_RESERVED] == 0.0)
     assert abs(p.sum() - 1.0) < 1e-12
@@ -79,7 +85,7 @@ def test_mask_enforces_tone_slot(world):
     template = [t for t in rules.templates if t.template_id == "wu_3"][0]
     assert template.slot(0, 4) == "P"      # known-tone slot
     dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, _ = constraint_mask("char", 0, 4, dist, tables(vocab, rules),
+    p, _ = constraint_mask(0, 4, dist, tables(vocab, rules),
                            template, None, True, True, Genre.FIVE_CHAR)
     from qgen.prosody import Tone
     for idx in range(N_RESERVED, len(vocab)):
@@ -94,13 +100,13 @@ def test_mask_rhyme_binding_and_match(world):
     vocab, _, rules = world
     dist = np.full(len(vocab), 1.0 / len(vocab))
     # line 2 final: only characters with a known rhyme group stay
-    p, _ = constraint_mask("char", 1, 4, dist, tables(vocab, rules),
+    p, _ = constraint_mask(1, 4, dist, tables(vocab, rules),
                            None, None, False, True, Genre.FIVE_CHAR)
     for idx in range(N_RESERVED, len(vocab)):
         known = rules.tone_dict.rhyme_group(vocab.char(idx)) is not None
         assert (p[idx] > 0) == known
     # line 4 final: only the bound group stays
-    p, _ = constraint_mask("char", 3, 4, dist, tables(vocab, rules),
+    p, _ = constraint_mask(3, 4, dist, tables(vocab, rules),
                            None, "ao", False, True, Genre.FIVE_CHAR)
     for idx in range(N_RESERVED, len(vocab)):
         assert (p[idx] > 0) == (rules.tone_dict.rhyme_group(vocab.char(idx)) == "ao")
@@ -113,7 +119,7 @@ def test_mask_relaxation_order_and_logging(world):
     dist = np.zeros(len(vocab))
     dist[SEP] = 1.0
     template = [t for t in rules.templates if t.template_id == "wu_3"][0]
-    p, relax = constraint_mask("char", 3, 4, dist, tables(vocab, rules),
+    p, relax = constraint_mask(3, 4, dist, tables(vocab, rules),
                                template, "ao", True, True, Genre.FIVE_CHAR)
     assert [r["dropped"] for r in relax] == ["rhyme", "tone", "model"]
     assert np.all(p[:N_RESERVED] == 0.0)
@@ -168,7 +174,7 @@ def test_mask_matches_per_character_oracle(world):
     groups = sorted(set(td.groups.values())) + [None]
 
     def check(line, pos, dist, template, group, tone_on, rhyme_on, genre):
-        got = constraint_mask("char", line, pos, dist, table, template, group,
+        got = constraint_mask(line, pos, dist, table, template, group,
                               tone_on, rhyme_on, genre)
         want = reference_mask(line, pos, dist, vocab, td, template, group,
                               tone_on, rhyme_on, genre)

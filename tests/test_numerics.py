@@ -224,11 +224,11 @@ def test_softmax_properties():
     rng = np.random.default_rng(0)
     for _ in range(20):
         z = rng.normal(size=(3, 6)) * 10
-        p = nm.softmax_values(z)
+        p = nm.softmax(nm.Node(z)).value
         assert np.all(p > 0)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
         # invariance under a per-row shift
-        np.testing.assert_allclose(nm.softmax_values(z + 100.0), p, atol=1e-12)
+        np.testing.assert_allclose(nm.softmax(nm.Node(z + 100.0)).value, p, atol=1e-12)
 
 
 def test_cross_entropy_clamps_zero_mass():

@@ -129,15 +129,6 @@ def test_train_stop_below_loss(setup):
     assert len(reports) == 1       # first epoch is already under the bound
 
 
-def test_train_early_stopping_patience(setup):
-    _, _, examples, cfg = setup
-    mp = ModelParams.initialize(cfg)
-    tcfg = TrainConfig(epochs=50, minibatch=2, seed=1, patience=3)
-    _, reports, _ = train(examples, mp, tcfg, eval_fn=lambda m: 0.0)
-    # constant score never improves after the first eval: 1 + patience epochs
-    assert len(reports) == 4
-
-
 def test_teacher_forced_argmax_shape(setup):
     _, _, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
