@@ -2,7 +2,8 @@
 
 Corpus file format: UTF-8 text, one poem per line, lines separated by `|`,
 lines starting with `#` are comments. A quatrain has exactly 4 lines of 5
-characters (FiveChar) or 7 characters (SevenChar); genre is inferred.
+characters (FiveChar) or 7 characters (SevenChar), none of them whitespace;
+genre is inferred.
 """
 
 from dataclasses import dataclass, field
@@ -42,12 +43,16 @@ class CorpusError(Exception):
 
 
 def quatrain_genre(lines):
-    """The genre of a quatrain: 4 lines, all of 5 or all of 7 characters.
+    """The genre of a quatrain: 4 lines, all of 5 or all of 7 characters,
+    none of them whitespace.
 
     Returns (genre, None), or (None, reason) for any other shape.
     """
     if len(lines) != 4:
         return None, "expected 4 lines, got %d" % len(lines)
+    for i, l in enumerate(lines):
+        if any(map(str.isspace, l)):
+            return None, "line %d has whitespace" % (i + 1)
     bad = ["line %d has %d chars" % (i + 1, len(l))
            for i, l in enumerate(lines) if len(l) not in (5, 7)]
     if bad:
@@ -66,7 +71,7 @@ def parse_corpus(path, genre_filter=None):
     try:
         with open(path, encoding="utf-8") as f:
             raw = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CorpusError("cannot read corpus %s: %s" % (path, e)) from e
     report = ParseReport(poems=[])
     for lineno, record in enumerate(raw.splitlines(), start=1):

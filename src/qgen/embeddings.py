@@ -5,6 +5,9 @@ injected as the initial embedding matrix of the attention model. The reference
 implementation is single threaded and bit-reproducible under a fixed seed.
 """
 
+from itertools import groupby
+from operator import itemgetter
+
 import numpy as np
 
 from .corpus import N_RESERVED
@@ -83,31 +86,25 @@ def _sigmoid(x):
 
 def pair_loss(u, v, v_negs):
     """-ln s(u.v) - sum_k ln s(-u.v_k) for one (center, context) pair."""
-    loss = -np.log(_sigmoid(np.dot(u, v)))
-    for vn in v_negs:
-        loss -= np.log(_sigmoid(-np.dot(u, vn)))
-    return loss
+    return -np.log(_sigmoid(u @ v)) - np.log(_sigmoid(-(v_negs @ u))).sum()
 
 
 def pair_loss_grads(u, v, v_negs):
-    """Analytic gradients of pair_loss w.r.t. u, v and each negative vector."""
-    gpos = _sigmoid(np.dot(u, v)) - 1.0
-    du = gpos * v
-    dv = gpos * u
-    dnegs = []
-    for vn in v_negs:
-        gneg = _sigmoid(np.dot(u, vn))
-        du = du + gneg * vn
-        dnegs.append(gneg * u)
-    return du, dv, dnegs
+    """Analytic gradients of pair_loss w.r.t. u, v and the (k, d) negatives."""
+    gpos = _sigmoid(u @ v) - 1.0
+    gneg = _sigmoid(v_negs @ u)
+    return gpos * v + gneg @ v_negs, gpos * u, gneg[:, None] * u
 
 
 def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0):
     """Pretrain character vectors on a character stream.
 
     Plain SGD at a fixed learning rate over all (center, context) pairs;
-    negatives are drawn from the unigram^0.75 distribution. Deterministic
-    given the seed. Returns an EmbeddingMatrix of the input vectors.
+    negatives are drawn from the unigram^0.75 distribution, in one draw per
+    center for all of its pairs. Each pair updates its context row, then
+    its negative rows once per draw, then the center's input row.
+    Deterministic given the seed. Returns an EmbeddingMatrix of the input
+    vectors.
     """
     if window < 1 or negatives < 1 or d < 2 or epochs < 1:
         raise ValueError("window >= 1, negatives >= 1, d >= 2, epochs >= 1 required")
@@ -130,23 +127,16 @@ def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0)
     vec_out = np.zeros((V, d))
 
     for _ in range(epochs):
-        for i, j in skipgram_pairs(ids, window):
-            c, ctx = ids[i], ids[j]
-            negs = rng.choice(V, size=negatives, p=neg_p)
-            u = vec_in[c]
-            du, dv, dnegs = pair_loss_grads(u, vec_out[ctx], [vec_out[k] for k in negs])
-            vec_out[ctx] -= SGD_LR * dv
-            for k, dn in zip(negs, dnegs):
-                vec_out[k] -= SGD_LR * dn
-            vec_in[c] = u - SGD_LR * du
+        for i, pairs in groupby(skipgram_pairs(ids, window), key=itemgetter(0)):
+            contexts = ids[[j for _, j in pairs]]
+            draws = rng.choice(V, size=(len(contexts), negatives), p=neg_p)
+            u = vec_in[ids[i]]          # a view: `u -=` updates the center's row
+            for ctx, negs in zip(contexts, draws):
+                du, dv, dnegs = pair_loss_grads(u, vec_out[ctx], vec_out[negs])
+                vec_out[ctx] -= SGD_LR * dv
+                np.subtract.at(vec_out, negs, SGD_LR * dnegs)
+                u -= SGD_LR * du
     return EmbeddingMatrix(order, vec_in)
-
-
-def cosine(a, b):
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 def init_embedding_matrix(pretrained, model_vocab, d, seed=0):

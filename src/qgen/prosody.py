@@ -56,22 +56,29 @@ class ToneDict:
         return len(self.tones)
 
 
+def _read_lines(path):
+    """The lines of a UTF-8 text file; ProsodyError names the path otherwise."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ProsodyError("cannot read %s: %s" % (path, e)) from e
+
+
 def load_tone_dict(path):
     td = ToneDict()
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or len(parts[0]) != 1 or parts[1] not in ("P", "Z"):
-                raise ProsodyError("malformed tone row at %s:%d: %r" % (path, lineno, line))
-            char, tone, group = parts
-            if char in td.tones:
-                log.warning("duplicate tone entry for %r at line %d; last row wins",
-                            char, lineno)
-            td.tones[char] = Tone(tone)
-            td.groups[char] = group
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or len(parts[0]) != 1 or parts[1] not in ("P", "Z"):
+            raise ProsodyError("malformed tone row at %s:%d: %r" % (path, lineno, line))
+        char, tone, group = parts
+        if char in td.tones:
+            log.warning("duplicate tone entry for %r at line %d; last row wins",
+                        char, lineno)
+        td.tones[char] = Tone(tone)
+        td.groups[char] = group
     return td
 
 
@@ -100,17 +107,16 @@ def load_templates(path):
         templates.append(TonalTemplate(block_id or "t%d" % len(templates), genre, list(block)))
         block_id, block = None, []
 
-    with open(path, encoding="utf-8") as f:
-        for raw in f:
-            line = raw.strip()
-            if not line:
-                flush()
-            elif line.startswith("#"):
-                block_id = line.lstrip("#").strip()
-            else:
-                if set(line) - set("PZ*"):
-                    raise ProsodyError("bad template symbols in %r" % line)
-                block.append(line)
+    for raw in _read_lines(path):
+        line = raw.strip()
+        if not line:
+            flush()
+        elif line.startswith("#"):
+            block_id = line.lstrip("#").strip()
+        else:
+            if set(line) - set("PZ*"):
+                raise ProsodyError("bad template symbols in %r" % line)
+            block.append(line)
     flush()
     return templates
 
@@ -146,21 +152,14 @@ def match_tonal_template(lines, tone_dict, templates):
     cands = templates_for(templates, genre)
     if not cands:
         raise ProsodyError("no templates for genre %s" % genre.name)
-    best = None
-    best_key = None
+    tones = tone_dict.tables("".join(lines))[0].reshape(4, -1)
+    best, best_score = None, -1
     for t in sorted(cands, key=lambda t: t.template_id):
-        score = 0
-        violations = []
-        for li, line in enumerate(lines):
-            for pi, char in enumerate(line):
-                tone = tone_dict.tone(char)
-                if slot_allows(t.slot(li, pi), tone.value):
-                    score += 1
-                else:
-                    violations.append((li, pi, t.slot(li, pi), tone.value))
-        if best_key is None or score > best_key:
-            best_key = score
-            best = (t, violations)
+        ok = slot_allows(np.array([list(l) for l in t.lines]), tones)
+        if ok.sum() > best_score:
+            best_score = ok.sum()
+            best = (t, [(li, pi, t.slot(li, pi), str(tones[li, pi]))
+                        for li, pi in np.argwhere(~ok).tolist()])
     return best
 
 
@@ -221,8 +220,9 @@ def compliance_report(lines, tone_dict, templates, include_line1=False):
         return ComplianceReport(structure_ok=False, structure_error=str(e))
     best, violations = match_tonal_template(lines, tone_dict, templates)
     rhyme_ok, rhyme_info = validate_rhyme(lines, tone_dict, include_line1=include_line1)
-    unknown = sorted({c for line in lines for c in line
-                      if tone_dict.tone(c) == Tone.UNKNOWN})
+    chars = "".join(lines)
+    tones = tone_dict.tables(chars)[0]
+    unknown = sorted({c for c, tone in zip(chars, tones) if tone == Tone.UNKNOWN.value})
     return ComplianceReport(structure_ok=True, genre=genre.name,
                             best_template=best.template_id,
                             tone_violations=violations,

@@ -69,20 +69,17 @@ def _teacher_forced(examples, nodes, mparams):
     return dists
 
 
-def batch_loss(examples, mparams, collect_grads=True):
+def batch_loss(examples, mparams):
     """Loss and gradients for a genre-pure minibatch in one tape pass.
 
     Returns (per_example_losses, grads); the gradients are those of the mean
-    per-example loss, i.e. already averaged over the batch, and grads is None
-    when collect_grads is off.
+    per-example loss, i.e. already averaged over the batch.
     """
     nodes = mparams.wrap()
     dists = _teacher_forced(examples, nodes, mparams)
     targets = np.array([e.target_ids for e in examples], dtype=np.intp)
     per_example = nm.mean_of([nm.cross_entropy_rows(dist, targets[:, t])
                               for t, dist in enumerate(dists)])
-    if not collect_grads:
-        return per_example.value.copy(), None
     nm.backward(nm.mean_all(per_example))
     grads = {k: n.grad for k, n in nodes.items() if n.grad is not None}
     return per_example.value.copy(), grads

@@ -8,6 +8,7 @@ from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_hea
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
 FIVE = "月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
+SPACED = "月黑 飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
 
 
 @pytest.fixture
@@ -142,12 +143,25 @@ def test_validate_compliant_poem(workdir, capsys):
 
 
 def test_validate_structure_error_exits_3(workdir, capsys):
-    (workdir / "poem.txt").write_text("月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓\n",
+    for poem, error in (("月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓", "line 4"),
+                        (SPACED, "line 1 has whitespace")):
+        (workdir / "poem.txt").write_text(poem + "\n", encoding="utf-8")
+        assert main(["validate", "--poem", "poem.txt"]) == EXIT_INVALID
+        report = json.loads(capsys.readouterr().out)
+        assert not report["structure_ok"]
+        assert error in report["structure_error"]
+
+
+def test_validate_tone_violations_exit_3(workdir, capsys):
+    # 雁 (Ze) and 飞 (Ping) swapped: structure and rhyme hold, tones do not
+    (workdir / "poem.txt").write_text("月黑飞雁高|单于夜遁逃|欲将轻骑逐|大雪满弓刀\n",
                                       encoding="utf-8")
     assert main(["validate", "--poem", "poem.txt"]) == EXIT_INVALID
-    report = json.loads(capsys.readouterr().out)
-    assert not report["structure_ok"]
-    assert "line 4" in report["structure_error"]
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1
+    report = json.loads(out)
+    assert report["structure_ok"] and report["rhyme_ok"]
+    assert report["tone_violations"] and not report["compliant"]
 
 
 def test_bleu_fixture(workdir, capsys):
@@ -166,7 +180,8 @@ def test_bleu_rejects_empty_refs(workdir, capsys):
 
 
 def test_embed_and_reuse(workdir, capsys):
-    (workdir / "c.txt").write_text(FIVE + "\n", encoding="utf-8")
+    # the record with a space is skipped, so no vector is keyed by a space
+    (workdir / "c.txt").write_text(FIVE + "\n" + SPACED + "\n", encoding="utf-8")
     assert main(["embed", "--corpus", "c.txt", "--out", "emb.txt",
                  "--d", "8", "--window", "2", "--negatives", "2"]) == EXIT_OK
     info = json.loads(capsys.readouterr().out)

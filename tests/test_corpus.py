@@ -30,11 +30,13 @@ def test_parse_both_genres(tmp_path):
 def test_parse_rejects_malformed_records(tmp_path):
     bad = ["一二三四五|六七八九十|短行|千里江陵一日还",   # mixed lengths
            "一二三四五|六七八九十",                        # 2 lines
+           "月黑 飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀",     # inner space
            FIVE]
     report = parse_corpus(write_corpus(tmp_path, "\n".join(bad)))
     assert len(report.poems) == 1
-    assert report.rejected == 2
+    assert report.rejected == 3
     assert all("record" in r for r in report.reasons)
+    assert report.reasons[2] == "record 3: line 1 has whitespace"
 
 
 def test_parse_genre_filter(tmp_path):
@@ -47,6 +49,13 @@ def test_parse_genre_filter(tmp_path):
 def test_parse_missing_file():
     with pytest.raises(CorpusError):
         parse_corpus("/nonexistent/corpus.txt")
+
+
+def test_parse_non_utf8_names_path(tmp_path):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(FIVE.encode("gbk"))
+    with pytest.raises(CorpusError, match="corpus.txt"):
+        parse_corpus(str(path))
 
 
 def test_reserved_ids_are_fixed():

@@ -3,11 +3,43 @@
 import numpy as np
 import pytest
 
-from conftest import BAD_EMBEDDINGS
-from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab
-from qgen.embeddings import (EmbeddingMatrix, cosine, init_embedding_matrix,
+from conftest import BAD_EMBEDDINGS, data_path
+from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab, parse_corpus
+from qgen.embeddings import (SGD_LR, EmbeddingMatrix, init_embedding_matrix,
                              negative_sampling_table, pair_loss,
                              pair_loss_grads, skipgram_pairs, train_skipgram)
+
+
+def cosine(a, b):
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def reference_skipgram(chars, window, d, negatives, epochs, seed):
+    """The per-pair loop: one draw per pair, gradients from the rows as they
+    were before the pair, then one update per negative, in draw order."""
+    order = list(dict.fromkeys(chars))
+    ids = [order.index(c) for c in chars]
+    neg_p = negative_sampling_table(np.bincount(ids, minlength=len(order)))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    V = len(order)
+    vec_in = rng.uniform(-0.5 / d, 0.5 / d, size=(V, d))
+    vec_out = np.zeros((V, d))
+    for _ in range(epochs):
+        for i, j in skipgram_pairs(ids, window):
+            c, ctx = ids[i], ids[j]
+            negs = rng.choice(V, size=negatives, p=neg_p)
+            u, v = vec_in[c], vec_out[ctx]
+            gpos = 1.0 / (1.0 + np.exp(-np.dot(u, v))) - 1.0
+            du, dv, dnegs = gpos * v, gpos * u, []
+            for k in negs:
+                gneg = 1.0 / (1.0 + np.exp(-np.dot(u, vec_out[k])))
+                du = du + gneg * vec_out[k]
+                dnegs.append(gneg * u)
+            vec_out[ctx] -= SGD_LR * dv
+            for k, dn in zip(negs, dnegs):
+                vec_out[k] -= SGD_LR * dn
+            vec_in[c] = u - SGD_LR * du
+    return order, vec_in
 
 
 def test_skipgram_pairs_matches_brute_force():
@@ -29,10 +61,12 @@ def test_negative_sampling_table():
 def test_pair_loss_grads_match_finite_differences():
     rng = np.random.default_rng(0)
     h = 1e-6
-    for _ in range(20):
+    for trial in range(20):
         d = 5
         u, v = rng.normal(size=d), rng.normal(size=d)
         negs = [rng.normal(size=d) for _ in range(3)]
+        if trial % 2:                       # negatives as a (k, d) array
+            negs = np.array(negs)
         du, dv, dnegs = pair_loss_grads(u, v, negs)
 
         def fd(vec, grad):
@@ -48,6 +82,20 @@ def test_pair_loss_grads_match_finite_differences():
         fd(v, dv)
         for vn, dn in zip(negs, dnegs):
             fd(vn, dn)
+
+
+@pytest.mark.parametrize("stream, window, negatives", [
+    ([c for p in parse_corpus(data_path("sample_corpus.txt")).poems for c in p.chars()],
+     5, 5),
+    # 5 draws from 3 characters: every draw repeats a negative
+    (list("甲乙丙"), 2, 5),
+], ids=["sample corpus", "repeated negatives"])
+def test_training_matches_per_pair_reference(stream, window, negatives):
+    order, expect = reference_skipgram(stream, window, 16, negatives, 2, seed=3)
+    got = train_skipgram(stream, window=window, d=16, negatives=negatives,
+                         epochs=2, seed=3)
+    assert got.chars == order
+    np.testing.assert_allclose(got.matrix, expect, rtol=1e-10, atol=1e-12)
 
 
 def test_training_deterministic():

@@ -40,6 +40,16 @@ def test_tone_dict_rejects_malformed(tmp_path):
         load_tone_dict(str(bad))
 
 
+@pytest.mark.parametrize("loader", [load_tone_dict, load_templates])
+def test_loaders_name_path_of_unreadable_file(tmp_path, loader):
+    with pytest.raises(ProsodyError, match="absent.txt"):
+        loader(str(tmp_path / "absent.txt"))
+    bad = tmp_path / "gbk.txt"
+    bad.write_bytes("月\tZ\tie\n".encode("gbk"))
+    with pytest.raises(ProsodyError, match="gbk.txt"):
+        loader(str(bad))
+
+
 def test_tone_dict_duplicate_last_wins(tmp_path, caplog):
     p = tmp_path / "dup.tsv"
     p.write_text("月\tZ\tie\n月\tP\tan\n", encoding="utf-8")
@@ -82,6 +92,8 @@ def test_validate_structure():
         validate_structure(POEM[:3] + ["大雪满弓"])
     with pytest.raises(StructureError):
         validate_structure(["一" * 5] * 2 + ["一" * 7] * 2)
+    with pytest.raises(StructureError, match="line 3 has whitespace"):
+        validate_structure(POEM[:2] + ["欲将\u3000骑逐", POEM[3]])
 
 
 def test_fixture_poem_matches_wu1_cleanly(tone_dict, templates):

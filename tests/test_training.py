@@ -44,7 +44,7 @@ def test_uniform_model_loss_is_log_vocab(setup):
     mp = ModelParams.initialize(cfg)
     for k in mp.tensors:
         mp.tensors[k][:] = 0.0
-    losses, _ = batch_loss([examples[0]], mp, collect_grads=False)
+    losses, _ = batch_loss([examples[0]], mp)
     assert abs(losses[0] - np.log(len(vocab))) < 1e-12
 
 
@@ -169,8 +169,8 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
         np.testing.assert_array_equal(mp2.indicators[g], mp.indicators[g])
     # training resumes producing identical losses from either object
-    l1, _ = batch_loss([examples[0]], mp, collect_grads=False)
-    l2, _ = batch_loss([examples[0]], mp2, collect_grads=False)
+    l1, _ = batch_loss([examples[0]], mp)
+    l2, _ = batch_loss([examples[0]], mp2)
     np.testing.assert_array_equal(l1, l2)
 
 
