@@ -26,7 +26,7 @@ from .generation import (GenerationError, GenRequest, ProsodyRules,
                          beam_search_generate, log_records_to_jsonl)
 from .model import ModelConfig, ModelParams
 from .prosody import (ProsodyError, compliance_report, load_templates,
-                      load_tone_dict)
+                      load_tone_dict, read_lines)
 from .training import (CheckpointError, GenreMode, TrainConfig,
                        load_checkpoint, save_checkpoint, train)
 
@@ -139,8 +139,7 @@ def cmd_generate(args):
 
 
 def _read_poem_lines(path):
-    with open(path, encoding="utf-8") as f:
-        raw = [l.strip() for l in f if l.strip() and not l.startswith("#")]
+    raw = [l.strip() for l in read_lines(path) if l.strip() and not l.startswith("#")]
     if len(raw) == 1 and "|" in raw[0]:
         return [seg.strip() for seg in raw[0].split("|")]
     return raw
@@ -161,12 +160,11 @@ def cmd_validate(args):
 def _read_char_seqs(path):
     """One character sequence per non-comment line; | and spaces are ignored."""
     seqs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            seqs.append([c for c in line if c != "|" and not c.isspace()])
+    for line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        seqs.append([c for c in line if c != "|" and not c.isspace()])
     return seqs
 
 

@@ -149,9 +149,17 @@ def gru_subparams(nodes, prefix):
 
 @dataclass
 class EncoderOutput:
-    states: list          # T nodes of dim 2H (forward || backward), or (B, 2H)
-    input_vectors: list   # T nodes of dim d (embedding rows), or (B, d)
-    back_final: object    # backward chain's final state (at position 0)
+    """Attention memories of an encoded sequence, or of a (B, T) batch.
+
+    A memory stacks T positions on its second-to-last axis: (T, dim) for a
+    sequence, (B, T, dim) for a batch. Each head's keys are computed here once
+    and shared by every decoder step.
+    """
+    states: nm.Node         # (..., T, 2H): forward || backward states
+    input_vectors: nm.Node  # (..., T, d): embedding rows
+    keys_h: nm.Node         # (..., T, A): keys of the state head
+    keys_x: object          # (..., T, A) keys of the input head, or None
+    back_final: nm.Node     # backward chain's final state (at position 0)
 
 
 def encode(input_ids, nodes, cfg):
@@ -180,8 +188,14 @@ def encode(input_ids, nodes, cfg):
     for i in reversed(range(len(xs))):
         h = nm.gru_cell(xs[i], h, pb)
         bwdstates[i] = h
-    states = [nm.concat([f, b]) for f, b in zip(fwd, bwdstates)]
-    return EncoderOutput(states=states, input_vectors=xs, back_final=bwdstates[0])
+    states = nm.concat([nm.stack(fwd), nm.stack(bwdstates)])
+    inputs = nm.stack(xs)
+    keys_x = None
+    if cfg.use_input_attention:
+        keys_x = nm.attention_keys(inputs, nodes["attn_x.U"])
+    return EncoderOutput(states=states, input_vectors=inputs,
+                         keys_h=nm.attention_keys(states, nodes["attn_h.U"]),
+                         keys_x=keys_x, back_final=bwdstates[0])
 
 
 def attention(s_prev, enc, nodes, cfg):
@@ -191,13 +205,33 @@ def attention(s_prev, enc, nodes, cfg):
     arrays for logging, the contexts are tape nodes. When input-vector
     attention is disabled, alpha_x/context_x are None.
     """
-    ctx_h, alpha_h = nm.additive_attention(
-        s_prev, enc.states, nodes["attn_h.W"], nodes["attn_h.U"], nodes["attn_h.v"])
+    ctx_h, alpha_h = nm.attend(s_prev, enc.states, enc.keys_h,
+                               nodes["attn_h.W"], nodes["attn_h.v"])
     if not cfg.use_input_attention:
         return alpha_h, ctx_h, None, None
-    ctx_x, alpha_x = nm.additive_attention(
-        s_prev, enc.input_vectors, nodes["attn_x.W"], nodes["attn_x.U"], nodes["attn_x.v"])
+    ctx_x, alpha_x = nm.attend(s_prev, enc.input_vectors, enc.keys_x,
+                               nodes["attn_x.W"], nodes["attn_x.v"])
     return alpha_h, ctx_h, alpha_x, ctx_x
+
+
+def decode_recurrence(s_prev, y_prev_id, enc, nodes, cfg):
+    """The recurrent half of a decoder step: attend and advance the GRU.
+
+    Returns (s_new, features, info): features = [s_new || contexts] feeds
+    output_projection() and nothing else, so teacher forcing can project all
+    steps at once; info carries the attention weights.
+    """
+    alpha_h, ctx_h, alpha_x, ctx_x = attention(s_prev, enc, nodes, cfg)
+    y_emb = nm.embedding_rows(nodes["emb"], y_prev_id)
+    contexts = [ctx_h] + ([ctx_x] if ctx_x is not None else [])
+    s_new = nm.gru_cell(nm.concat([y_emb] + contexts), s_prev, gru_subparams(nodes, "dec"))
+    features = nm.concat([s_new] + contexts)
+    return s_new, features, {"alpha_h": alpha_h, "alpha_x": alpha_x}
+
+
+def output_projection(features, nodes):
+    """Softmax over the vocabulary of decoder features, over their last axis."""
+    return nm.softmax(nm.affine(nodes["out.W"], features, nodes["out.b"]))
 
 
 def decode_step(s_prev, y_prev_id, enc, nodes, cfg):
@@ -206,16 +240,8 @@ def decode_step(s_prev, y_prev_id, enc, nodes, cfg):
     Returns (s_new, dist, info) where dist is a probability vector node over
     the vocabulary and info carries the attention weights.
     """
-    alpha_h, ctx_h, alpha_x, ctx_x = attention(s_prev, enc, nodes, cfg)
-    y_emb = nm.embedding_rows(nodes["emb"], y_prev_id)
-    parts = [y_emb, ctx_h] + ([ctx_x] if ctx_x is not None else [])
-    x_in = nm.concat(parts)
-    s_new = nm.gru_cell(x_in, s_prev, gru_subparams(nodes, "dec"))
-    out_parts = [s_new, ctx_h] + ([ctx_x] if ctx_x is not None else [])
-    logits = nm.affine(nodes["out.W"], nm.concat(out_parts), nodes["out.b"])
-    dist = nm.softmax(logits)
-    info = {"alpha_h": alpha_h, "alpha_x": alpha_x}
-    return s_new, dist, info
+    s_new, features, info = decode_recurrence(s_prev, y_prev_id, enc, nodes, cfg)
+    return s_new, output_projection(features, nodes), info
 
 
 def init_decoder_state(enc, genre, nodes, indicators):

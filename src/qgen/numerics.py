@@ -6,8 +6,12 @@ nodes with hand-derived backward passes. Every op has one formula for a single
 vector and a (batch, dim) matrix alike: a vector is a one-row batch. Outputs
 keep the rank of the inputs, and where a formula needs the rows explicitly
 (weight gradients, attention) it works on the `_rows` view of the array, so a
-vector costs no extra tape node. The correctness contract for every
-differentiable op is the finite-difference check in grad_check().
+vector costs no extra tape node. Attention is split in two ops: the keys of
+a memory, computed once per memory, and the attend step that every decoder
+step runs over them; `stack` turns T per-step nodes into one (..., T, dim)
+node, so work that does not depend on the step (keys, output projection)
+runs once over all steps. The correctness contract for every differentiable
+op is the finite-difference check in grad_check().
 """
 
 import numpy as np
@@ -147,6 +151,18 @@ def concat(parts):
         for p, sz in zip(parts, sizes):
             _acc(p, g[..., off:off + sz])
             off += sz
+    out.bwd = bwd
+    return out
+
+
+def stack(parts):
+    """Stack T equally-shaped nodes along a new second-to-last axis: T vectors
+    become (T, dim), T (B, dim) rows become (B, T, dim)."""
+    out = Node(np.stack([p.value for p in parts], axis=-2), tuple(parts))
+
+    def bwd(g):
+        for i, p in enumerate(parts):
+            _acc(p, g[..., i, :])
     out.bwd = bwd
     return out
 
@@ -327,48 +343,70 @@ def gru_cell(x, h_prev, p):
     return out
 
 
-def additive_attention(query, items, W, U, v):
-    """Additive attention over a sequence of item nodes, fused into one node.
+def attention_keys(M, U):
+    """Keys K = M U^T of an attention memory M (..., T, D), shape (..., T, A).
 
-    Scores e_i = v . tanh(W query + U item_i), alpha = softmax(e),
-    context = sum_i alpha_i item_i. Query and items may be vectors or (B, dim)
-    batches (one attention per batch row over that row's items).
+    They depend on the memory alone, so a decoder computes them once per
+    encoded batch and every step's attend() reads them; the steps' dK add up
+    on this node and dU is formed once.
+    """
+    out = Node(M.value @ U.value.T, (M, U))
+
+    def bwd(g):
+        _acc(U, _rows(g).T @ _rows(M.value))
+        _acc(M, g @ U.value)
+    out.bwd = bwd
+    return out
+
+
+def attend(query, M, K, W, v):
+    """Additive attention of a query over a memory with precomputed keys.
+
+    M is (T, D) with a (Hq,) query, or (B, T, D) with (B, Hq) queries (one
+    attention per batch row over that row's memory); K = attention_keys(M, U).
+    Scores e_i = v . tanh(W query + K_i), alpha = softmax(e),
+    context = sum_i alpha_i M_i.
 
     Returns (context_node, alpha_array); the weights are plain arrays for
     logging only.
     """
-    T = len(items)
-    if T < 1:
-        raise ShapeError("attention over an empty sequence")
+    T = M.value.shape[-2]
     lead = query.value.shape[:-1]                               # () or (B,)
     q = _rows(query.value)                                      # (B, Hq)
-    M = np.stack([it.value for it in items], axis=-2)
-    M = M.reshape(q.shape[0], T, M.shape[-1])                   # (B, T, D)
-    t = np.tanh((q @ W.value.T)[:, None, :] + M @ U.value.T)    # (B, T, A)
+    Mv = M.value.reshape(q.shape[0], T, M.value.shape[-1])      # (B, T, D)
+    t = np.tanh((q @ W.value.T)[:, None, :]
+                + K.value.reshape(q.shape[0], T, -1))           # (B, T, A)
     e = t @ v.value                                             # (B, T)
     ex = np.exp(e - e.max(axis=-1, keepdims=True))
     alpha = ex / ex.sum(axis=-1, keepdims=True)
-    ctx = (alpha[:, :, None] * M).sum(axis=1)                   # (B, D)
-
-    parents = (query,) + tuple(items) + (W, U, v)
-    out = Node(ctx.reshape(lead + ctx.shape[-1:]), parents)
+    ctx = (alpha[:, :, None] * Mv).sum(axis=1)                  # (B, D)
+    out = Node(ctx.reshape(lead + ctx.shape[-1:]), (query, M, K, W, v))
 
     def bwd(g):
         gb = _rows(g)                                           # (B, D)
-        dalpha = (M @ gb[:, :, None])[:, :, 0]                  # (B, T)
+        dalpha = (Mv @ gb[:, :, None])[:, :, 0]                 # (B, T)
         de = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
         dt = (1.0 - t * t) * de[:, :, None] * v.value           # (B, T, A)
         dts = dt.sum(axis=1)                                    # (B, A)
         _acc(v, np.einsum("bta,bt->a", t, de))
         _acc(W, dts.T @ q)
-        _acc(U, np.einsum("bta,btd->ad", dt, M))
         _acc(query, (dts @ W.value).reshape(query.value.shape))
-        dM = alpha[:, :, None] * gb[:, None, :] + dt @ U.value  # (B, T, D)
-        dM = dM.reshape(lead + dM.shape[1:])
-        for i, it in enumerate(items):
-            _acc(it, dM[..., i, :])
+        _acc(K, dt.reshape(K.value.shape))
+        _acc(M, (alpha[:, :, None] * gb[:, None, :]).reshape(M.value.shape))
     out.bwd = bwd
     return out, alpha.reshape(lead + (T,))
+
+
+def additive_attention(query, items, W, U, v):
+    """Additive attention over a list of T item nodes (vectors or (B, D) rows).
+
+    The composition attend(query, M, attention_keys(M, U), W, v) with
+    M = stack(items); returns (context_node, alpha_array).
+    """
+    if len(items) < 1:
+        raise ShapeError("attention over an empty sequence")
+    M = stack(items)
+    return attend(query, M, attention_keys(M, U), W, v)
 
 
 # ---------------------------------------------------------------------------

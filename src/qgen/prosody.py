@@ -56,7 +56,7 @@ class ToneDict:
         return len(self.tones)
 
 
-def _read_lines(path):
+def read_lines(path):
     """The lines of a UTF-8 text file; ProsodyError names the path otherwise."""
     try:
         with open(path, encoding="utf-8") as f:
@@ -67,11 +67,12 @@ def _read_lines(path):
 
 def load_tone_dict(path):
     td = ToneDict()
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 3 or len(parts[0]) != 1 or parts[1] not in ("P", "Z"):
+        if (len(parts) != 3 or len(parts[0]) != 1 or parts[0].isspace()
+                or parts[1] not in ("P", "Z")):
             raise ProsodyError("malformed tone row at %s:%d: %r" % (path, lineno, line))
         char, tone, group = parts
         if char in td.tones:
@@ -107,7 +108,7 @@ def load_templates(path):
         templates.append(TonalTemplate(block_id or "t%d" % len(templates), genre, list(block)))
         block_id, block = None, []
 
-    for raw in _read_lines(path):
+    for raw in read_lines(path):
         line = raw.strip()
         if not line:
             flush()

@@ -4,7 +4,9 @@ The loss for one example is the mean per-position cross entropy of the
 decoder's predictions under teacher forcing (decoder input at step t is BOS,
 then target[t-1]). A genre-pure minibatch runs through one tape as (B, dim)
 rows; its gradient is that of the mean per-example loss, and one AdaDelta
-step follows each minibatch.
+step follows each minibatch. Only the decoder recurrence runs step by step:
+its T feature rows are stacked, and one output projection, one softmax and
+one cross entropy run over the whole (B, T, V) minibatch.
 
 Checkpoint container: magic `QGEN`, u32 version, u64 header length, JSON
 header, then length-prefixed named tensors as little-endian doubles.
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import numerics as nm
 from .corpus import BOS, Genre, Vocab
-from .model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_step, encode,
-                    init_decoder_state, param_shapes)
+from .model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_recurrence, encode,
+                    init_decoder_state, output_projection, param_shapes)
 
 
 class GenreMode(Enum):
@@ -49,7 +51,9 @@ def _teacher_forced(examples, nodes, mparams):
     """Decoder distributions of a genre-pure batch under teacher forcing.
 
     All examples must share input and target lengths (true within a genre).
-    Returns one (B, V) distribution node per target position.
+    The recurrence runs step by step; its T feature rows are then stacked and
+    projected at once, since under teacher forcing no prediction feeds back.
+    Returns one (B, T, V) distribution node.
     """
     genres = {e.genre for e in examples}
     if len(genres) != 1:
@@ -61,34 +65,34 @@ def _teacher_forced(examples, nodes, mparams):
     enc = encode(inputs, nodes, cfg)
     s = init_decoder_state(enc, examples[0].genre, nodes, mparams.indicators)
     prev = np.full(len(examples), BOS, dtype=np.intp)
-    dists = []
+    features = []
     for t in range(targets.shape[1]):
-        s, dist, _ = decode_step(s, prev, enc, nodes, cfg)
-        dists.append(dist)
+        s, feats, _ = decode_recurrence(s, prev, enc, nodes, cfg)
+        features.append(feats)
         prev = targets[:, t]
-    return dists
+    return output_projection(nm.stack(features), nodes)
 
 
 def batch_loss(examples, mparams):
     """Loss and gradients for a genre-pure minibatch in one tape pass.
 
     Returns (per_example_losses, grads); the gradients are those of the mean
-    per-example loss, i.e. already averaged over the batch.
+    per-example loss, i.e. already averaged over the batch (all targets of a
+    batch have one length, so that is the mean over every target position).
     """
     nodes = mparams.wrap()
     dists = _teacher_forced(examples, nodes, mparams)
     targets = np.array([e.target_ids for e in examples], dtype=np.intp)
-    per_example = nm.mean_of([nm.cross_entropy_rows(dist, targets[:, t])
-                              for t, dist in enumerate(dists)])
-    nm.backward(nm.mean_all(per_example))
+    loss = nm.cross_entropy_rows(dists, targets)                # (B, T)
+    nm.backward(nm.mean_all(loss))
     grads = {k: n.grad for k, n in nodes.items() if n.grad is not None}
-    return per_example.value.copy(), grads
+    return loss.value.mean(axis=1), grads
 
 
 def teacher_forced_argmax(example, mparams):
     """Argmax prediction at every target position under teacher forcing."""
     dists = _teacher_forced([example], mparams.wrap(), mparams)
-    return [int(np.argmax(dist.value[0])) for dist in dists]
+    return np.argmax(dists.value[0], axis=-1).tolist()
 
 
 @dataclass

@@ -164,6 +164,20 @@ def test_validate_tone_violations_exit_3(workdir, capsys):
     assert report["tone_violations"] and not report["compliant"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--poem", "poem-gbk.txt"],
+    ["bleu", "--hyp", "poem-gbk.txt", "--refs", "refs.txt"],
+    ["bleu", "--hyp", "refs.txt", "--refs", "poem-gbk.txt"],
+], ids=" ".join)
+def test_non_utf8_text_file_is_one_line_failure(workdir, capsys, argv):
+    (workdir / "poem-gbk.txt").write_bytes((FIVE + "\n").encode("gbk"))
+    (workdir / "refs.txt").write_text(FIVE + "\n", encoding="utf-8")
+    assert main(argv) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("qgen: ") and "poem-gbk.txt" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bleu_fixture(workdir, capsys):
     (workdir / "h.txt").write_text("AABB\n", encoding="utf-8")
     (workdir / "r.txt").write_text("ABBC\n", encoding="utf-8")

@@ -88,12 +88,12 @@ def test_encoder_reversal_symmetry():
     H = cfg.H
     T = len(ids)
     for i in range(T):
-        mirrored = enc2.states[T - 1 - i].value
-        np.testing.assert_allclose(enc.states[i].value[:H], mirrored[H:], atol=1e-12)
-        np.testing.assert_allclose(enc.states[i].value[H:], mirrored[:H], atol=1e-12)
+        mirrored = enc2.states.value[T - 1 - i]
+        np.testing.assert_allclose(enc.states.value[i, :H], mirrored[H:], atol=1e-12)
+        np.testing.assert_allclose(enc.states.value[i, H:], mirrored[:H], atol=1e-12)
     # the reversed run's back_final is the original forward chain's final state
     np.testing.assert_allclose(enc2.back_final.value,
-                               enc.states[-1].value[:H], atol=1e-12)
+                               enc.states.value[-1, :H], atol=1e-12)
 
 
 def test_encode_batch_matches_vector_path():
@@ -103,8 +103,8 @@ def test_encode_batch_matches_vector_path():
     for b, ids in enumerate(seqs):
         encv = encode(ids, mp.wrap(), cfg)
         for t in range(len(ids)):
-            np.testing.assert_allclose(encb.states[t].value[b],
-                                       encv.states[t].value, atol=1e-12)
+            np.testing.assert_allclose(encb.states.value[b, t],
+                                       encv.states.value[t], atol=1e-12)
         np.testing.assert_allclose(encb.back_final.value[b],
                                    encv.back_final.value, atol=1e-12)
 

@@ -177,6 +177,76 @@ def test_attention_batched_fd(seed):
     run_fd(build, params, seed)
 
 
+LEADS = [(), (2,)]     # a vector, and (B, dim) rows with B = 2
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_stack_fd(seed, lead):
+    rng = np.random.default_rng(seed)
+    T, D = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    params = {"m%d" % i: rng.normal(size=lead + (D,)) for i in range(T)}
+    w = rng.normal(size=lead + (T, D))
+
+    def build(nodes):
+        stacked = nm.stack([nodes["m%d" % i] for i in range(T)])
+        return weighted_scalar(nm.tanh(stacked), w)
+    run_fd(build, params, seed)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_attention_keys_fd(seed, lead):
+    rng = np.random.default_rng(seed)
+    T, D, A = int(rng.integers(2, 5)), 3, 4
+    params = {"M": rng.normal(size=lead + (T, D)), "U": rng.normal(size=(A, D))}
+    w = rng.normal(size=lead + (T, A))
+
+    def build(nodes):
+        return weighted_scalar(nm.tanh(nm.attention_keys(nodes["M"], nodes["U"])), w)
+    run_fd(build, params, seed)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_attend_fd(seed, lead):
+    rng = np.random.default_rng(seed)
+    T, D, Hq, A = int(rng.integers(2, 5)), 3, 4, 3
+    params = {"q": rng.normal(size=lead + (Hq,)), "M": rng.normal(size=lead + (T, D)),
+              "K": rng.normal(size=lead + (T, A)), "W": rng.normal(size=(A, Hq)),
+              "v": rng.normal(size=A)}
+    w = rng.normal(size=lead + (D,))
+
+    def build(nodes):
+        ctx, _ = nm.attend(nodes["q"], nodes["M"], nodes["K"], nodes["W"], nodes["v"])
+        return weighted_scalar(ctx, w)
+    run_fd(build, params, seed)
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=str)
+def test_additive_attention_is_attend_over_keys(lead):
+    rng = np.random.default_rng(5)
+    T, D, Hq, A = 4, 3, 5, 3
+    q = rng.normal(size=lead + (Hq,))
+    items = [rng.normal(size=lead + (D,)) for _ in range(T)]
+    W, U, v = rng.normal(size=(A, Hq)), rng.normal(size=(A, D)), rng.normal(size=A)
+    w = rng.normal(size=lead + (D,))
+
+    def run(compose):
+        nodes = [nm.Node(x) for x in [q, W, U, v] + items]
+        qn, Wn, Un, vn, *its = nodes
+        ctx, alpha = compose(qn, its, Wn, Un, vn)
+        nm.backward(weighted_scalar(ctx, w))
+        return [ctx.value, alpha] + [n.grad for n in nodes]
+
+    def by_hand(qn, its, Wn, Un, vn):
+        M = nm.stack(its)
+        return nm.attend(qn, M, nm.attention_keys(M, Un), Wn, vn)
+
+    for got, want in zip(run(nm.additive_attention), run(by_hand)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 # --------------------------------------------------------------------------
 # forward oracles
 # --------------------------------------------------------------------------

@@ -40,6 +40,14 @@ def test_tone_dict_rejects_malformed(tmp_path):
         load_tone_dict(str(bad))
 
 
+@pytest.mark.parametrize("char", [" ", "\u3000", "\u00a0"], ids=repr)
+def test_tone_dict_rejects_whitespace_character(tmp_path, char):
+    bad = tmp_path / "space.tsv"
+    bad.write_text("月\tZ\tie\n%s\tP\tao\n" % char, encoding="utf-8")
+    with pytest.raises(ProsodyError, match="space.tsv:2"):
+        load_tone_dict(str(bad))
+
+
 @pytest.mark.parametrize("loader", [load_tone_dict, load_templates])
 def test_loaders_name_path_of_unreadable_file(tmp_path, loader):
     with pytest.raises(ProsodyError, match="absent.txt"):

@@ -11,8 +11,8 @@ from qgen.corpus import BOS, Genre, Poem, build_training_sequence, build_vocab
 from qgen.model import (ModelConfig, ModelParams, decode_step, encode,
                         init_decoder_state)
 from qgen.training import (CheckpointError, GenreMode, TrainConfig,
-                           _check_genre_mode, _genre_pure_batches, _write_tensor,
-                           batch_loss, load_checkpoint, save_checkpoint,
+                           _check_genre_mode, _genre_pure_batches, _teacher_forced,
+                           _write_tensor, batch_loss, load_checkpoint, save_checkpoint,
                            teacher_forced_argmax, train, train_epoch)
 
 POEMS_5 = [
@@ -135,6 +135,33 @@ def test_teacher_forced_argmax_shape(setup):
     preds = teacher_forced_argmax(examples[0], mp)
     assert len(preds) == len(examples[0].target_ids)
     assert all(0 <= p < cfg.vocab_size for p in preds)
+
+
+def test_teacher_forced_matches_per_step_decode(setup):
+    """The stacked (B, T, V) projection of teacher forcing equals one
+    decode_step per position, and so do the argmax predictions."""
+    _, _, examples, cfg = setup
+    mp = ModelParams.initialize(cfg)
+    train(examples, mp, TrainConfig(epochs=5, minibatch=2, seed=3))
+    batch = [e for e in examples if e.genre == Genre.SEVEN_CHAR]
+    assert len(batch) == 2
+    dists = _teacher_forced(batch, mp.wrap(), mp).value
+
+    nodes = mp.wrap()
+    targets = np.array([e.target_ids for e in batch])
+    enc = encode(np.array([e.input_ids for e in batch]), nodes, cfg)
+    s = init_decoder_state(enc, Genre.SEVEN_CHAR, nodes, mp.indicators)
+    prev = np.full(len(batch), BOS)
+    steps = []
+    for t in range(targets.shape[1]):
+        s, dist, _ = decode_step(s, prev, enc, nodes, cfg)
+        steps.append(dist.value)
+        prev = targets[:, t]
+    expect = np.stack(steps, axis=1)
+    assert dists.shape == expect.shape == targets.shape + (cfg.vocab_size,)
+    np.testing.assert_allclose(dists, expect, rtol=0, atol=1e-12)
+    for b, ex in enumerate(batch):
+        assert teacher_forced_argmax(ex, mp) == [int(np.argmax(p)) for p in expect[b]]
 
 
 def test_training_is_deterministic(setup):
