@@ -44,10 +44,10 @@ class EmbeddingMatrix:
     def load_text(cls, path):
         """Read a `save_text` file; a malformed one raises ValueError naming
         the path and line."""
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().rstrip("\n").split("\n")
         chars, rows, lineno = [], [], 1
         try:
+            with open(path, encoding="utf-8") as f:
+                lines = f.read().rstrip("\n").split("\n")
             n, d = (int(x) for x in lines[0].split())
             if n < 1 or d < 1:
                 raise ValueError("row count and dimension must be positive")

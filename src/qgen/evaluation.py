@@ -53,11 +53,11 @@ def ngram_precision(hyp, refs, n):
 
 
 def brevity_penalty(hyp_len, ref_lens):
-    """BP against the closest reference length; length ties pick the shorter."""
+    """BP against the closest reference length, ties picking the shorter; 0 if empty."""
     r = min(ref_lens, key=lambda L: (abs(L - hyp_len), L))
     if hyp_len >= r:
         return 1.0, r
-    return exp(1.0 - r / hyp_len), r
+    return (exp(1.0 - r / hyp_len) if hyp_len else 0.0), r
 
 
 def bleu(hyp, refs):

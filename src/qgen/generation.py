@@ -4,7 +4,8 @@ The decoder runs over a fixed position plan: genre-many characters per line,
 a SEP token between lines, stop after line 4. Structure is therefore a hard
 guarantee. Tone and rhyme are enforced by masking the output distribution;
 when a mask would remove all probability mass the constraints are relaxed in
-the order rhyme -> tone, and every relaxation is logged.
+the order rhyme -> tone, and every relaxation is logged. The live hypotheses
+are the rows of one batch: one decoder call per position serves them all.
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 
 from .corpus import BOS, N_RESERVED, SEP, UNK, Genre, Poem
 from .model import decode_step, encode, init_decoder_state
+from .numerics import constant
 from .prosody import slot_allows, templates_for
 
 log = logging.getLogger(__name__)
@@ -63,8 +65,6 @@ def position_plan(genre):
 @dataclass
 class _Hyp:
     tokens: list
-    state: object
-    prev: int
     logp: float
     template: object = None
     rhyme_group: str = None
@@ -142,20 +142,22 @@ def beam_search_generate(req, mparams, vocab, rules):
     s0 = init_decoder_state(enc, req.genre, nodes, mparams.indicators)
     rng = np.random.Generator(np.random.PCG64(req.seed))
     plan = position_plan(req.genre)
-    beam = [_Hyp(tokens=[], state=s0, prev=BOS, logp=0.0, template=t) for t in bindings]
+    beam = [_Hyp(tokens=[], logp=0.0, template=t) for t in bindings]
+    state = np.repeat(s0.value[None], len(beam), axis=0)    # row b: beam[b]'s state
+    prev = np.full(len(beam), BOS)
     records = []
 
     for step, (kind, line, pos) in enumerate(plan):
+        s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
         pool = []
         step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": []}
-        for hyp in beam:
-            s_new, dist, info = decode_step(hyp.state, hyp.prev, enc, nodes, cfg)
+        for b, hyp in enumerate(beam):
             relax = []
             if kind == "sep":
                 cands = [(SEP, hyp.logp)]      # forced: no model mass is spent
             else:
                 masked, relax = constraint_mask(
-                    line, pos, dist.value, table, hyp.template,
+                    line, pos, dist.value[b], table, hyp.template,
                     hyp.rhyme_group, req.tone, req.rhyme, req.genre)
                 if relax:
                     step_rec.setdefault("relaxations", []).extend(relax)
@@ -166,21 +168,23 @@ def beam_search_generate(req, mparams, vocab, rules):
                 group = hyp.rhyme_group
                 if line == 1 and pos == req.genre.value - 1 and table is not None:
                     group = table[1][idx]
-                pool.append((logp, _Hyp(
-                    tokens=hyp.tokens + [idx], state=s_new, prev=idx, logp=logp,
+                pool.append((logp, b, _Hyp(
+                    tokens=hyp.tokens + [idx], logp=logp,
                     template=hyp.template, rhyme_group=group,
                     relaxations=hyp.relaxations + relax)))
             step_rec["candidates"].append({
                 "prefix": "".join(vocab.char(t) for t in hyp.tokens if t >= N_RESERVED),
-                "alpha_h": np.round(info["alpha_h"], 6).tolist(),
-                "alpha_x": (np.round(info["alpha_x"], 6).tolist()
+                "alpha_h": np.round(info["alpha_h"][b], 6).tolist(),
+                "alpha_x": (np.round(info["alpha_x"][b], 6).tolist()
                             if info["alpha_x"] is not None else None),
             })
         if not pool:
             raise GenerationError("beam exhausted at step %d" % step)
         tie = rng.random(len(pool))
-        order = sorted(range(len(pool)), key=lambda i: (-pool[i][0], tie[i]))
-        beam = [pool[i][1] for i in order[:req.beam_width]]
+        kept = sorted(range(len(pool)), key=lambda i: (-pool[i][0], tie[i]))[:req.beam_width]
+        beam = [pool[i][2] for i in kept]
+        state = s_new.value[[pool[i][1] for i in kept]]
+        prev = np.array([hyp.tokens[-1] for hyp in beam])
         records.append(step_rec)
 
     best = beam[0]

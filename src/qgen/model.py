@@ -198,35 +198,24 @@ def encode(input_ids, nodes, cfg):
                          keys_x=keys_x, back_final=bwdstates[0])
 
 
-def attention(s_prev, enc, nodes, cfg):
-    """Dual attention: over encoder states and over input embeddings.
-
-    Returns (alpha_h, context_h, alpha_x, context_x); the alphas are plain
-    arrays for logging, the contexts are tape nodes. When input-vector
-    attention is disabled, alpha_x/context_x are None.
-    """
-    ctx_h, alpha_h = nm.attend(s_prev, enc.states, enc.keys_h,
-                               nodes["attn_h.W"], nodes["attn_h.v"])
-    if not cfg.use_input_attention:
-        return alpha_h, ctx_h, None, None
-    ctx_x, alpha_x = nm.attend(s_prev, enc.input_vectors, enc.keys_x,
-                               nodes["attn_x.W"], nodes["attn_x.v"])
-    return alpha_h, ctx_h, alpha_x, ctx_x
-
-
 def decode_recurrence(s_prev, y_prev_id, enc, nodes, cfg):
     """The recurrent half of a decoder step: attend and advance the GRU.
 
+    Attends over the encoder states and, if enabled, the input embeddings.
     Returns (s_new, features, info): features = [s_new || contexts] feeds
-    output_projection() and nothing else, so teacher forcing can project all
-    steps at once; info carries the attention weights.
+    output_projection() alone, so teacher forcing can project all steps at
+    once; info holds the weights alpha_h and alpha_x (None if off) as arrays.
     """
-    alpha_h, ctx_h, alpha_x, ctx_x = attention(s_prev, enc, nodes, cfg)
+    contexts, info = [], {"alpha_x": None}
+    for head, M, K in (("h", enc.states, enc.keys_h), ("x", enc.input_vectors, enc.keys_x)):
+        if K is not None:
+            ctx, info["alpha_" + head] = nm.attend(s_prev, M, K, nodes["attn_%s.W" % head],
+                                                   nodes["attn_%s.v" % head])
+            contexts.append(ctx)
     y_emb = nm.embedding_rows(nodes["emb"], y_prev_id)
-    contexts = [ctx_h] + ([ctx_x] if ctx_x is not None else [])
     s_new = nm.gru_cell(nm.concat([y_emb] + contexts), s_prev, gru_subparams(nodes, "dec"))
     features = nm.concat([s_new] + contexts)
-    return s_new, features, {"alpha_h": alpha_h, "alpha_x": alpha_x}
+    return s_new, features, info
 
 
 def output_projection(features, nodes):

@@ -8,10 +8,11 @@ keep the rank of the inputs, and where a formula needs the rows explicitly
 (weight gradients, attention) it works on the `_rows` view of the array, so a
 vector costs no extra tape node. Attention is split in two ops: the keys of
 a memory, computed once per memory, and the attend step that every decoder
-step runs over them; `stack` turns T per-step nodes into one (..., T, dim)
-node, so work that does not depend on the step (keys, output projection)
-runs once over all steps. The correctness contract for every differentiable
-op is the finite-difference check in grad_check().
+step runs over them, also for B query rows sharing one memory (a beam).
+`stack` turns T per-step nodes into one (..., T, dim) node, so work that
+does not depend on the step (keys, output projection) runs once over all
+steps. The correctness contract for every differentiable op is the
+finite-difference check in grad_check().
 """
 
 import numpy as np
@@ -360,12 +361,13 @@ def attention_keys(M, U):
 
 
 def attend(query, M, K, W, v):
-    """Additive attention of a query over a memory with precomputed keys.
+    """Additive attention of query rows over a memory with precomputed keys.
 
-    M is (T, D) with a (Hq,) query, or (B, T, D) with (B, Hq) queries (one
-    attention per batch row over that row's memory); K = attention_keys(M, U).
-    Scores e_i = v . tanh(W query + K_i), alpha = softmax(e),
-    context = sum_i alpha_i M_i.
+    Three shapes: a (Hq,) query over a (T, D) memory; (B, Hq) queries over a
+    (B, T, D) memory, each row over its own memory; and (B, Hq) queries over
+    one shared (T, D) memory, as a beam's hypotheses read their one encoded
+    request. K = attention_keys(M, U). Scores e_i = v . tanh(W query + K_i),
+    alpha = softmax(e), context = sum_i alpha_i M_i.
 
     Returns (context_node, alpha_array); the weights are plain arrays for
     logging only.
@@ -373,9 +375,9 @@ def attend(query, M, K, W, v):
     T = M.value.shape[-2]
     lead = query.value.shape[:-1]                               # () or (B,)
     q = _rows(query.value)                                      # (B, Hq)
-    Mv = M.value.reshape(q.shape[0], T, M.value.shape[-1])      # (B, T, D)
+    Mv = M.value.reshape(-1, T, M.value.shape[-1])              # (B or 1, T, D)
     t = np.tanh((q @ W.value.T)[:, None, :]
-                + K.value.reshape(q.shape[0], T, -1))           # (B, T, A)
+                + K.value.reshape(-1, T, K.value.shape[-1]))    # (B, T, A)
     e = t @ v.value                                             # (B, T)
     ex = np.exp(e - e.max(axis=-1, keepdims=True))
     alpha = ex / ex.sum(axis=-1, keepdims=True)
@@ -391,8 +393,11 @@ def attend(query, M, K, W, v):
         _acc(v, np.einsum("bta,bt->a", t, de))
         _acc(W, dts.T @ q)
         _acc(query, (dts @ W.value).reshape(query.value.shape))
+        dM = alpha[:, :, None] * gb[:, None, :]                 # (B, T, D)
+        if M.value.ndim == 2:                   # one (T, D) memory: sum the rows
+            dt, dM = dt.sum(axis=0), dM.sum(axis=0)
         _acc(K, dt.reshape(K.value.shape))
-        _acc(M, (alpha[:, :, None] * gb[:, None, :]).reshape(M.value.shape))
+        _acc(M, dM.reshape(M.value.shape))
     out.bwd = bwd
     return out, alpha.reshape(lead + (T,))
 

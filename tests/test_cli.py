@@ -168,6 +168,8 @@ def test_validate_tone_violations_exit_3(workdir, capsys):
     ["validate", "--poem", "poem-gbk.txt"],
     ["bleu", "--hyp", "poem-gbk.txt", "--refs", "refs.txt"],
     ["bleu", "--hyp", "refs.txt", "--refs", "poem-gbk.txt"],
+    ["train", "--corpus", "refs.txt", "--pretrained-embeddings", "poem-gbk.txt",
+     "--epochs", "1", "--d", "8", "--H", "8", "--H-dec", "8"],
 ], ids=" ".join)
 def test_non_utf8_text_file_is_one_line_failure(workdir, capsys, argv):
     (workdir / "poem-gbk.txt").write_bytes((FIVE + "\n").encode("gbk"))
@@ -185,6 +187,18 @@ def test_bleu_fixture(workdir, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(report["bleu"] - 0.7071067811865475) < 1e-12
     assert report["p1"] == 0.75
+
+
+def test_bleu_empty_hypothesis_scores_zero(workdir, capsys):
+    (workdir / "h.txt").write_text("|\n", encoding="utf-8")
+    (workdir / "r.txt").write_text(FIVE + "\n", encoding="utf-8")
+    with pytest.warns(UserWarning, match="shorter than n"):
+        assert main(["bleu", "--hyp", "h.txt", "--refs", "r.txt"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["bleu"] == 0.0 and report["bp"] == 0.0 and report["hyp_len"] == 0
+    assert report["zero_precision"]
 
 
 def test_bleu_rejects_empty_refs(workdir, capsys):

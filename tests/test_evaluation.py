@@ -94,6 +94,8 @@ def test_brevity_penalty_ties_pick_shorter():
     assert r == 4 and isclose(bp, exp(1 - 4 / 2), abs_tol=1e-15)
     bp, r = brevity_penalty(5, [5, 9])
     assert r == 5 and bp == 1.0
+    bp, r = brevity_penalty(0, [4, 6])      # empty hypothesis: the limit, 0
+    assert r == 4 and bp == 0.0
 
 
 def test_bleu_requires_references():

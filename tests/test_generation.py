@@ -251,6 +251,90 @@ def test_beam_one_equals_greedy_argmax(world):
     assert "".join(poem.lines) == expect
 
 
+def per_hypothesis_beam(req, mparams, vocab, rules):
+    """Reference beam search: one vector decode_step per live hypothesis, each
+    hypothesis carrying its own state and previous id."""
+    bindings = templates_for(rules.templates, req.genre) if req.tone else [None]
+    table = rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
+    cfg, nodes = mparams.cfg, mparams.wrap()
+    keywords = req.keywords.split() if req.sep_keywords else ["".join(req.keywords.split())]
+    ids = []
+    for ki, kw in enumerate(keywords):
+        ids += ([SEP] if ki > 0 else []) + [vocab.id(c) for c in kw]
+    enc = encode(ids, nodes, cfg)
+    s0 = init_decoder_state(enc, req.genre, nodes, mparams.indicators)
+    rng = np.random.Generator(np.random.PCG64(req.seed))
+    beam = [{"tokens": [], "state": s0, "prev": BOS, "logp": 0.0, "template": t,
+             "group": None, "relax": []} for t in bindings]
+    records = []
+    for step, (kind, line, pos) in enumerate(position_plan(req.genre)):
+        pool = []
+        rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": []}
+        for hyp in beam:
+            s_new, dist, info = decode_step(hyp["state"], hyp["prev"], enc, nodes, cfg)
+            relax = []
+            if kind == "sep":
+                cands = [(SEP, hyp["logp"])]
+            else:
+                masked, relax = constraint_mask(line, pos, dist.value, table, hyp["template"],
+                                                hyp["group"], req.tone, req.rhyme, req.genre)
+                if relax:
+                    rec.setdefault("relaxations", []).extend(relax)
+                k = min(req.beam_width, int((masked > 0).sum()))
+                cands = [(int(i), hyp["logp"] + float(np.log(masked[i])))
+                         for i in np.argsort(masked)[::-1][:k]]
+            for idx, logp in cands:
+                group = hyp["group"]
+                if line == 1 and pos == req.genre.value - 1:
+                    group = table[1][idx]
+                pool.append((logp, {"tokens": hyp["tokens"] + [idx], "state": s_new,
+                                    "prev": idx, "logp": logp, "template": hyp["template"],
+                                    "group": group, "relax": hyp["relax"] + relax}))
+            rec["candidates"].append({
+                "prefix": "".join(vocab.char(t) for t in hyp["tokens"] if t >= N_RESERVED),
+                "alpha_h": np.round(info["alpha_h"], 6).tolist(),
+                "alpha_x": np.round(info["alpha_x"], 6).tolist()})
+        tie = rng.random(len(pool))
+        order = sorted(range(len(pool)), key=lambda i: (-pool[i][0], tie[i]))
+        beam = [pool[i][1] for i in order[:req.beam_width]]
+        records.append(rec)
+    best = beam[0]
+    L = req.genre.value
+    chars = [vocab.char(t) for t in best["tokens"] if t != SEP]
+    lines = ["".join(chars[i * L:(i + 1) * L]) for i in range(4)]
+    records.append({"final_logp": best["logp"],
+                    "template": best["template"].template_id if best["template"] else None,
+                    "rhyme_group": best["group"], "relaxations": best["relax"]})
+    return lines, records
+
+
+BEAM_REQUESTS = [
+    dict(keywords=kw, genre=genre, beam_width=beam, tone=tone, rhyme=rhyme, seed=seed)
+    for beam in (1, 3, 5)
+    for tone, rhyme in ((True, True), (False, False), (True, False), (False, True))
+    for kw, genre, seed in (("月黑雁飞高", Genre.FIVE_CHAR, beam),
+                            ("朝辞白帝", Genre.SEVEN_CHAR, 7 + beam))
+] + [dict(keywords="月黑 雁飞", genre=Genre.FIVE_CHAR, beam_width=beam, seed=2,
+          sep_keywords=True) for beam in (1, 3, 5)]
+
+
+@pytest.mark.parametrize("kw", BEAM_REQUESTS,
+                         ids=lambda kw: "-".join("%s=%s" % (k, getattr(v, "name", v))
+                                                 for k, v in kw.items() if k != "keywords"))
+def test_batched_beam_equals_per_hypothesis_loop(world, kw):
+    """The beam decodes its hypotheses as rows of one batch; it must give
+    the per-hypothesis loop's poem, step records and final score."""
+    vocab, mparams, rules = world
+    req = GenRequest(**kw)
+    poem, records = beam_search_generate(req, mparams, vocab, rules)
+    lines, expect = per_hypothesis_beam(req, mparams, vocab, rules)
+    assert poem.lines == lines
+    assert log_records_to_jsonl(records[:-1]) == log_records_to_jsonl(expect[:-1])
+    got_final, want_final = dict(records[-1]), dict(expect[-1])
+    assert abs(got_final.pop("final_logp") - want_final.pop("final_logp")) <= 1e-12
+    assert got_final == want_final
+
+
 def test_unknown_keyword_char_warns_and_proceeds(world, caplog):
     vocab, mparams, rules = world
     req = GenRequest(keywords="月黑瞾飞高", genre=Genre.FIVE_CHAR, beam_width=1, seed=1)

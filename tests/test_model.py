@@ -125,6 +125,21 @@ def test_decode_step_batch_matches_vector_path():
         np.testing.assert_allclose(sb.value[b], sv.value, atol=1e-12)
         np.testing.assert_allclose(infob["alpha_h"][b], infov["alpha_h"], atol=1e-12)
 
+    # B state rows sharing one 1-D encoding, as beam search decodes its hypotheses
+    nodes = mp.wrap()
+    enc = encode(seqs[0], nodes, cfg)
+    s0 = init_decoder_state(enc, Genre.FIVE_CHAR, nodes, mp.indicators).value
+    rows = s0 + np.random.default_rng(3).normal(scale=0.1, size=(3,) + s0.shape)
+    prevs = np.array([4, 6, 9])
+    sb, distb, infob = decode_step(nm.constant(rows), prevs, enc, nodes, cfg)
+    assert distb.value.shape == (3, cfg.vocab_size)
+    for b in range(3):
+        sv, distv, infov = decode_step(nm.constant(rows[b]), prevs[b], enc, nodes, cfg)
+        np.testing.assert_allclose(distb.value[b], distv.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sb.value[b], sv.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(infob["alpha_h"][b], infov["alpha_h"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(infob["alpha_x"][b], infov["alpha_x"], rtol=0, atol=1e-12)
+
 
 def test_decode_step_distribution_and_genre_state():
     cfg, mp = small_model(seed=2)

@@ -207,15 +207,18 @@ def test_attention_keys_fd(seed, lead):
     run_fd(build, params, seed)
 
 
-@pytest.mark.parametrize("lead", LEADS, ids=str)
+@pytest.mark.parametrize("lead", LEADS + ["shared"], ids=str)
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_attend_fd(seed, lead):
+    """A query over (T, D), rows over their own (B, T, D) memory, and
+    "shared": B = 3 rows over one (T, D) memory and its keys."""
     rng = np.random.default_rng(seed)
     T, D, Hq, A = int(rng.integers(2, 5)), 3, 4, 3
-    params = {"q": rng.normal(size=lead + (Hq,)), "M": rng.normal(size=lead + (T, D)),
-              "K": rng.normal(size=lead + (T, A)), "W": rng.normal(size=(A, Hq)),
+    qlead, mlead = ((3,), ()) if lead == "shared" else (lead, lead)
+    params = {"q": rng.normal(size=qlead + (Hq,)), "M": rng.normal(size=mlead + (T, D)),
+              "K": rng.normal(size=mlead + (T, A)), "W": rng.normal(size=(A, Hq)),
               "v": rng.normal(size=A)}
-    w = rng.normal(size=lead + (D,))
+    w = rng.normal(size=qlead + (D,))
 
     def build(nodes):
         ctx, _ = nm.attend(nodes["q"], nodes["M"], nodes["K"], nodes["W"], nodes["v"])
