@@ -7,7 +7,6 @@ precisions, no smoothing, and the closest-reference-length brevity penalty
 flagged in the report.
 """
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from math import exp, log
@@ -40,7 +39,6 @@ def ngram_precision(hyp, refs, n):
         raise ValueError("only 1-grams and 2-grams are used")
     hyp = list(hyp)
     if len(hyp) < n:
-        warnings.warn("hypothesis shorter than n=%d; precision 0" % n)
         return 0.0
     counts = Counter(_ngrams(hyp, n))
     max_counts = Counter()

@@ -11,8 +11,13 @@ a memory, computed once per memory, and the attend step that every decoder
 step runs over them, also for B query rows sharing one memory (a beam).
 `stack` turns T per-step nodes into one (..., T, dim) node, so work that
 does not depend on the step (keys, output projection) runs once over all
-steps. The correctness contract for every differentiable op is the
-finite-difference check in grad_check().
+steps. Weight gradients are deferred: a weight's gradient is a sum of
+products a^T b, one per use, and an op records the pair (a, b) with
+_acc_outer() instead of forming the product. backward() flushes a node's
+pairs as one GEMM over their concatenated rows when its walk reaches the
+node, so a weight shared by T decoder steps costs one GEMM, not T full-size
+products and adds. The correctness contract for every differentiable op is
+the finite-difference check in grad_check().
 """
 
 import numpy as np
@@ -29,15 +34,17 @@ class Node:
     grad    -- accumulated dL/dvalue, filled in by backward()
     parents -- upstream nodes
     bwd     -- closure(out_grad) that pushes gradient to parents; None for leaves
+    factors -- pending (a, b) pairs of grad += a^T b, or None; see _acc_outer()
     """
 
-    __slots__ = ("value", "grad", "parents", "bwd")
+    __slots__ = ("value", "grad", "parents", "bwd", "factors")
 
     def __init__(self, value, parents=(), bwd=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.parents = parents
         self.bwd = bwd
+        self.factors = None
 
 
 def _rows(a):
@@ -48,10 +55,19 @@ def _rows(a):
 def _acc(node, g):
     # Never accumulate in place: backward closures may hand the same array to
     # several parents, and `+` allocates a fresh array on the second hit.
+    # Weight gradients of the form a^T b do not come here per use: they are
+    # deferred factor pairs (_acc_outer), flushed here once per node.
     if node.grad is None:
         node.grad = g
     else:
         node.grad = node.grad + g
+
+
+def _acc_outer(node, a, b):
+    """Defer grad += a^T b, for (rows, m) a and (rows, n) b, to backward()."""
+    if node.factors is None:
+        node.factors = []
+    node.factors.append((a, b))
 
 
 def backward(root):
@@ -74,7 +90,14 @@ def backward(root):
             if id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.asarray(1.0)
+    # Every consumer of a node comes before it in this order, so its deferred
+    # pairs are complete here: one GEMM over all their rows adds them, and
+    # doing so before the node's own bwd lets a non-leaf node take them too.
     for node in reversed(topo):
+        if node.factors is not None:
+            pairs, node.factors = node.factors, None
+            a, b = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
+            _acc(node, a.T @ b)
         if node.bwd is not None:
             node.bwd(node.grad)
 
@@ -180,7 +203,7 @@ def affine(W, x, b):
 
     def bwd(g):
         g2 = _rows(g)
-        _acc(W, g2.T @ _rows(x.value))
+        _acc_outer(W, g2, _rows(x.value))
         _acc(x, g @ W.value)
         _acc(b, g2.sum(axis=0))
     out.bwd = bwd
@@ -329,14 +352,14 @@ def gru_cell(x, h_prev, p):
         dh = dh + da_z @ Uz.value + da_r @ Ur.value
         x2, h2, rh2 = _rows(xv), _rows(hv), _rows(rh)
         dz2, dr2, dh2 = _rows(da_z), _rows(da_r), _rows(da_h)
-        _acc(Wz, dz2.T @ x2)
-        _acc(Uz, dz2.T @ h2)
+        _acc_outer(Wz, dz2, x2)
+        _acc_outer(Uz, dz2, h2)
         _acc(bz, dz2.sum(axis=0))
-        _acc(Wr, dr2.T @ x2)
-        _acc(Ur, dr2.T @ h2)
+        _acc_outer(Wr, dr2, x2)
+        _acc_outer(Ur, dr2, h2)
         _acc(br, dr2.sum(axis=0))
-        _acc(Wh, dh2.T @ x2)
-        _acc(Uh, dh2.T @ rh2)
+        _acc_outer(Wh, dh2, x2)
+        _acc_outer(Uh, dh2, rh2)
         _acc(bh, dh2.sum(axis=0))
         _acc(x, dx)
         _acc(h_prev, dh)
@@ -354,7 +377,7 @@ def attention_keys(M, U):
     out = Node(M.value @ U.value.T, (M, U))
 
     def bwd(g):
-        _acc(U, _rows(g).T @ _rows(M.value))
+        _acc_outer(U, _rows(g), _rows(M.value))
         _acc(M, g @ U.value)
     out.bwd = bwd
     return out
@@ -391,7 +414,7 @@ def attend(query, M, K, W, v):
         dt = (1.0 - t * t) * de[:, :, None] * v.value           # (B, T, A)
         dts = dt.sum(axis=1)                                    # (B, A)
         _acc(v, np.einsum("bta,bt->a", t, de))
-        _acc(W, dts.T @ q)
+        _acc_outer(W, dts, q)
         _acc(query, (dts @ W.value).reshape(query.value.shape))
         dM = alpha[:, :, None] * gb[:, None, :]                 # (B, T, D)
         if M.value.ndim == 2:                   # one (T, D) memory: sum the rows

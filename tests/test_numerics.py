@@ -141,6 +141,91 @@ def test_gru_cell_batched_fd(seed):
     run_fd(build, params, seed)
 
 
+def tape_nodes(root):
+    seen, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node.parents)
+    return seen.values()
+
+
+def run_fd_flushed(build, params, seed):
+    """run_fd, then check that backward left no deferred factors on the tape."""
+    roots = []
+
+    def recording(nodes):
+        root = build(nodes)
+        if not roots:                   # the one tape grad_check backpropagates
+            roots.append(root)
+        return root
+    run_fd(recording, params, seed)
+    assert all(node.factors is None for node in tape_nodes(roots[0]))
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_gru_chain_shared_weights_fd(seed):
+    """Every step of a (3, n)-row chain defers a factor pair on the shared
+    weights; the flush sums them in one GEMM per weight."""
+    rng = np.random.default_rng(seed)
+    B, n, H, T = 3, int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(4, 7))
+    params = gru_params(rng, n, H)
+    for t in range(T):
+        params["x%d" % t] = rng.normal(size=(B, n))
+    params["h"] = rng.normal(size=(B, H))
+    w = rng.normal(size=(B, H))
+
+    def build(nodes):
+        p = {k: nodes[k] for k in nodes if k[0] in "WUb"}
+        h = nodes["h"]
+        for t in range(T):
+            h = nm.gru_cell(nodes["x%d" % t], h, p)
+        return weighted_scalar(h, w)
+    run_fd_flushed(build, params, seed)
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_deferred_gradient_of_non_leaf_weight_fd(seed):
+    """W = scale(W0) is Wz of two GRU steps and W of an attend step: its
+    factors are flushed before its own backward passes them on to W0."""
+    rng = np.random.default_rng(seed)
+    B, T, n, H, D = 3, int(rng.integers(2, 5)), int(rng.integers(2, 5)), 3, 2
+    params = gru_params(rng, n, H)
+    params.update(W0=params.pop("Wz"), x=rng.normal(size=(B, n)), h=rng.normal(size=(B, H)),
+                  M=rng.normal(size=(B, T, D)), K=rng.normal(size=(B, T, H)),
+                  v=rng.normal(size=H))
+    wh, wc = rng.normal(size=(B, H)), rng.normal(size=(B, D))
+
+    def build(nodes):
+        W = nm.scale(nodes["W0"], 1.0)
+        p = {k: nodes[k] for k in nodes if k[0] in "WUb" and k != "W0"}
+        p["Wz"] = W
+        h = nm.gru_cell(nodes["x"], nm.gru_cell(nodes["x"], nodes["h"], p), p)
+        ctx, _ = nm.attend(nodes["x"], nodes["M"], nodes["K"], W, nodes["v"])
+        return nm.add(weighted_scalar(h, wh), weighted_scalar(ctx, wc))
+    run_fd_flushed(build, params, seed)
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_deferred_and_plain_gradient_on_one_node_fd(seed):
+    """Wz takes deferred factors from two GRU steps and a plain gradient
+    from mul; the flush adds to the plain one."""
+    rng = np.random.default_rng(seed)
+    B, n, H = 3, int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    params = gru_params(rng, n, H)
+    params["x"] = rng.normal(size=(B, n))
+    params["h"] = rng.normal(size=(B, H))
+    wh, c, wm = rng.normal(size=(B, H)), rng.normal(size=(H, n)), rng.normal(size=(H, n))
+
+    def build(nodes):
+        p = {k: nodes[k] for k in nodes if k[0] in "WUb"}
+        h = nm.gru_cell(nodes["x"], nm.gru_cell(nodes["x"], nodes["h"], p), p)
+        plain = nm.mul(p["Wz"], nm.constant(c))
+        return nm.add(weighted_scalar(h, wh), weighted_scalar(plain, wm))
+    run_fd_flushed(build, params, seed)
+
+
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_attention_fd(seed):
     rng = np.random.default_rng(seed)

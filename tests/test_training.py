@@ -80,6 +80,29 @@ def test_batch_loss_matches_per_example_reference(setup):
                                    err_msg=name)
 
 
+def test_batch_loss_grads_match_per_step_weight_gradients(setup, monkeypatch):
+    """The deferred a^T b weight gradients, one GEMM per weight, against the
+    per-step formula that forms and adds each step's product at once. The two
+    differ only in the order of a sum, which can move an entry that cancels
+    to near zero by more than its own rtol, so each gradient's absolute floor
+    is rtol times its largest entry."""
+    _, vocab, examples, _ = setup
+    cfg = ModelConfig(vocab_size=len(vocab), d=16, H=12, H_dec=20, seed=3)
+    mp = ModelParams.initialize(cfg)
+    for genre in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
+        batch = [e for e in examples if e.genre == genre]
+        losses, grads = batch_loss(batch, mp)
+        with monkeypatch.context() as m:
+            m.setattr(nm, "_acc_outer", lambda node, a, b: nm._acc(node, a.T @ b))
+            ref_losses, ref_grads = batch_loss(batch, mp)
+        np.testing.assert_array_equal(losses, ref_losses)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref_grads[name]).max(),
+                                       err_msg=name)
+
+
 def test_batch_loss_rejects_mixed_genres(setup):
     _, _, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
