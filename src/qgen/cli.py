@@ -56,13 +56,14 @@ def _build_id():
     return "qgen-" + __version__
 
 
-def _manifest(args, started, inputs, outputs):
+def _manifest(args, started):
+    """Write the run manifest; `args.inputs`/`args.outputs` name the path flags."""
     cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func", "manifest") and not callable(v)}
+           if k not in ("func", "manifest", "inputs", "outputs")}
     payload = {"command": args.command, "config": cfg,
                "seeds": {"seed": getattr(args, "seed", None)},
-               "inputs": [str(p) for p in inputs if p],
-               "outputs": [str(p) for p in outputs if p],
+               "inputs": [str(getattr(args, k)) for k in args.inputs if getattr(args, k)],
+               "outputs": [str(getattr(args, k)) for k in args.outputs if getattr(args, k)],
                "build_id": _build_id(),
                "wall_time_s": round(time.monotonic() - started, 3)}
     with open(args.manifest or (args.command + ".manifest.json"), "w",
@@ -82,7 +83,6 @@ def _load_rules(args):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
-    started = time.monotonic()
     genre_filter = GENRES.get(args.genre)
     report = parse_corpus(args.corpus, genre_filter=genre_filter)
     if report.rejected:
@@ -112,12 +112,10 @@ def cmd_train(args):
         stop_below_loss=args.stop_below_loss,
         log_fn=lambda r: print(r.to_json(), flush=True))
     save_checkpoint(args.out, mparams, opt_state, vocab, step, args.seed)
-    _manifest(args, started, [args.corpus, args.pretrained_embeddings], [args.out])
     return EXIT_OK
 
 
 def cmd_generate(args):
-    started = time.monotonic()
     mparams, _, vocab, _, _ = load_checkpoint(args.checkpoint)
     rules = _load_rules(args)
     req = GenRequest(keywords=args.keywords, genre=GENRES[args.genre],
@@ -133,8 +131,6 @@ def cmd_generate(args):
     if args.log:
         with open(args.log, "w", encoding="utf-8") as f:
             f.write(log_records_to_jsonl(records) + "\n")
-    _manifest(args, started, [args.checkpoint, args.tone_dict, args.templates],
-              [args.log])
     return EXIT_OK
 
 
@@ -146,14 +142,12 @@ def _read_poem_lines(path):
 
 
 def cmd_validate(args):
-    started = time.monotonic()
     lines = _read_poem_lines(args.poem)
     tone_dict = load_tone_dict(args.tone_dict)
     templates = load_templates(args.templates)
     rep = compliance_report(lines, tone_dict, templates,
                             include_line1=args.check_line1)
     print(json.dumps(rep.to_dict(), ensure_ascii=False))
-    _manifest(args, started, [args.poem, args.tone_dict, args.templates], [])
     return EXIT_OK if rep.compliant else EXIT_INVALID
 
 
@@ -169,7 +163,6 @@ def _read_char_seqs(path):
 
 
 def cmd_bleu(args):
-    started = time.monotonic()
     hyps = _read_char_seqs(args.hyp)
     refs = _read_char_seqs(args.refs)
     if len(hyps) != 1:
@@ -179,12 +172,10 @@ def cmd_bleu(args):
         raise ValueError("reference file %s is empty" % args.refs)
     rep = bleu(hyps[0], refs)
     print(json.dumps(rep.to_dict(), ensure_ascii=False))
-    _manifest(args, started, [args.hyp, args.refs], [])
     return EXIT_OK
 
 
 def cmd_embed(args):
-    started = time.monotonic()
     report = parse_corpus(args.corpus)
     if not report.poems:
         raise CorpusError("corpus %s yielded no poems" % args.corpus)
@@ -195,7 +186,6 @@ def cmd_embed(args):
     emb.save_text(args.out)
     print(json.dumps({"chars": len(emb.chars), "d": emb.d, "out": args.out},
                      ensure_ascii=False))
-    _manifest(args, started, [args.corpus], [args.out])
     return EXIT_OK
 
 
@@ -227,7 +217,8 @@ def build_parser():
     p.add_argument("--no-input-attention", action="store_true")
     p.add_argument("--pretrained-embeddings", default=None)
     p.add_argument("--stop-below-loss", type=float, default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, inputs=("corpus", "pretrained_embeddings"),
+                   outputs=("out",))
 
     p = sub.add_parser("generate", help="generate one quatrain from keywords")
     p.add_argument("--checkpoint", required=True)
@@ -242,7 +233,8 @@ def build_parser():
     p.add_argument("--tone-dict", default=_packaged("tone_dict.tsv"))
     p.add_argument("--templates", default=_packaged("templates.txt"))
     p.add_argument("--log", default=None, help="beam search log (line JSON)")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, inputs=("checkpoint", "tone_dict", "templates"),
+                   outputs=("log",))
 
     p = sub.add_parser("validate", help="check a poem against the regulations")
     p.add_argument("--poem", required=True,
@@ -251,12 +243,12 @@ def build_parser():
     p.add_argument("--templates", default=_packaged("templates.txt"))
     p.add_argument("--check-line1", action="store_true",
                    help="also report whether line 1 rhymes")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, inputs=("poem", "tone_dict", "templates"), outputs=())
 
     p = sub.add_parser("bleu", help="score one hypothesis against references")
     p.add_argument("--hyp", required=True)
     p.add_argument("--refs", required=True)
-    p.set_defaults(func=cmd_bleu)
+    p.set_defaults(func=cmd_bleu, inputs=("hyp", "refs"), outputs=())
 
     p = sub.add_parser("embed", help="pretrain character vectors (skip-gram)")
     p.add_argument("--corpus", required=True)
@@ -266,7 +258,7 @@ def build_parser():
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_embed)
+    p.set_defaults(func=cmd_embed, inputs=("corpus",), outputs=("out",))
     return ap, sub
 
 
@@ -319,12 +311,17 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0,) else 0
+    started = time.monotonic()
     try:
-        return args.func(args)
+        code = args.func(args)
+        _manifest(args, started)        # only a command that returned has a manifest
+        return code
     except (CorpusError, ProsodyError, CheckpointError, GenerationError,
             ValueError, FloatingPointError, OSError) as e:
         print("qgen: %s" % e, file=sys.stderr)
-        return EXIT_FAILURE
+    except MemoryError as e:
+        print("qgen: out of memory: %s" % e, file=sys.stderr)
+    return EXIT_FAILURE
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ def position_plan(genre):
 
 @dataclass
 class _Hyp:
-    tokens: list
+    text: str               # the characters chosen so far, separators left out
     logp: float
     template: object = None
     rhyme_group: str = None
@@ -142,55 +142,48 @@ def beam_search_generate(req, mparams, vocab, rules):
     s0 = init_decoder_state(enc, req.genre, nodes, mparams.indicators)
     rng = np.random.Generator(np.random.PCG64(req.seed))
     plan = position_plan(req.genre)
-    beam = [_Hyp(tokens=[], logp=0.0, template=t) for t in bindings]
+    beam = [_Hyp(text="", logp=0.0, template=t) for t in bindings]
     state = np.repeat(s0.value[None], len(beam), axis=0)    # row b: beam[b]'s state
     prev = np.full(len(beam), BOS)
+    L = req.genre.value
     records = []
 
     for step, (kind, line, pos) in enumerate(plan):
         s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
-        pool = []
-        step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": []}
+        alpha_h = np.round(info["alpha_h"], 6).tolist()
+        alpha_x = None if info["alpha_x"] is None else np.round(info["alpha_x"], 6).tolist()
+        step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
+            {"prefix": hyp.text, "alpha_h": alpha_h[b],
+             "alpha_x": None if alpha_x is None else alpha_x[b]} for b, hyp in enumerate(beam)]}
+        pool = []                       # (logp, row of the parent, char id)
+        relaxed = [[] for _ in beam]    # relaxed[b]: this step's relaxations of row b
         for b, hyp in enumerate(beam):
-            relax = []
             if kind == "sep":
-                cands = [(SEP, hyp.logp)]      # forced: no model mass is spent
-            else:
-                masked, relax = constraint_mask(
-                    line, pos, dist.value[b], table, hyp.template,
-                    hyp.rhyme_group, req.tone, req.rhyme, req.genre)
-                if relax:
-                    step_rec.setdefault("relaxations", []).extend(relax)
-                k = min(req.beam_width, int((masked > 0).sum()))
-                cands = [(int(idx), hyp.logp + float(np.log(masked[idx])))
-                         for idx in np.argsort(masked)[::-1][:k]]
-            for idx, logp in cands:
-                group = hyp.rhyme_group
-                if line == 1 and pos == req.genre.value - 1 and table is not None:
-                    group = table[1][idx]
-                pool.append((logp, b, _Hyp(
-                    tokens=hyp.tokens + [idx], logp=logp,
-                    template=hyp.template, rhyme_group=group,
-                    relaxations=hyp.relaxations + relax)))
-            step_rec["candidates"].append({
-                "prefix": "".join(vocab.char(t) for t in hyp.tokens if t >= N_RESERVED),
-                "alpha_h": np.round(info["alpha_h"][b], 6).tolist(),
-                "alpha_x": (np.round(info["alpha_x"][b], 6).tolist()
-                            if info["alpha_x"] is not None else None),
-            })
+                pool.append((hyp.logp, b, SEP))     # forced: no model mass is spent
+                continue
+            masked, relaxed[b] = constraint_mask(line, pos, dist.value[b], table, hyp.template,
+                                                 hyp.rhyme_group, req.tone, req.rhyme, req.genre)
+            if relaxed[b]:
+                step_rec.setdefault("relaxations", []).extend(relaxed[b])
+            k = min(req.beam_width, int((masked > 0).sum()))
+            pool += [(hyp.logp + float(np.log(masked[idx])), b, int(idx))
+                     for idx in np.argsort(masked)[::-1][:k]]
         if not pool:
             raise GenerationError("beam exhausted at step %d" % step)
         tie = rng.random(len(pool))
-        kept = sorted(range(len(pool)), key=lambda i: (-pool[i][0], tie[i]))[:req.beam_width]
-        beam = [pool[i][2] for i in kept]
-        state = s_new.value[[pool[i][1] for i in kept]]
-        prev = np.array([hyp.tokens[-1] for hyp in beam])
+        kept = [pool[i] for i in sorted(range(len(pool)),
+                                        key=lambda i: (-pool[i][0], tie[i]))[:req.beam_width]]
+        binds = line == 1 and pos == L - 1 and table is not None    # line 2 binds the rhyme
+        beam = [_Hyp(text=beam[b].text + (vocab.char(idx) if kind == "char" else ""),
+                     logp=logp, template=beam[b].template,
+                     rhyme_group=table[1][idx] if binds else beam[b].rhyme_group,
+                     relaxations=beam[b].relaxations + relaxed[b]) for logp, b, idx in kept]
+        state = s_new.value[[b for _, b, _ in kept]]
+        prev = np.array([idx for _, _, idx in kept])
         records.append(step_rec)
 
     best = beam[0]
-    L = req.genre.value
-    chars = [vocab.char(t) for t in best.tokens if t != SEP]
-    lines = ["".join(chars[i * L:(i + 1) * L]) for i in range(4)]
+    lines = [best.text[i * L:(i + 1) * L] for i in range(4)]
     poem = Poem(genre=req.genre, lines=lines, source_id="generated")
     records.append({"final_logp": best.logp,
                     "template": best.template.template_id if best.template else None,

@@ -16,8 +16,10 @@ products a^T b, one per use, and an op records the pair (a, b) with
 _acc_outer() instead of forming the product. backward() flushes a node's
 pairs as one GEMM over their concatenated rows when its walk reaches the
 node, so a weight shared by T decoder steps costs one GEMM, not T full-size
-products and adds. The correctness contract for every differentiable op is
-the finite-difference check in grad_check().
+products and adds. Embedding lookups are deferred the same way: each records
+its (ids, rows) with _acc_rows(), and backward() scatters them into one fresh
+buffer. The correctness contract for every differentiable op is the
+finite-difference check in grad_check().
 """
 
 import numpy as np
@@ -35,9 +37,10 @@ class Node:
     parents -- upstream nodes
     bwd     -- closure(out_grad) that pushes gradient to parents; None for leaves
     factors -- pending (a, b) pairs of grad += a^T b, or None; see _acc_outer()
+    lookups -- pending (ids, rows) pairs of grad[ids] += rows, or None; see _acc_rows()
     """
 
-    __slots__ = ("value", "grad", "parents", "bwd", "factors")
+    __slots__ = ("value", "grad", "parents", "bwd", "factors", "lookups")
 
     def __init__(self, value, parents=(), bwd=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -45,6 +48,7 @@ class Node:
         self.parents = parents
         self.bwd = bwd
         self.factors = None
+        self.lookups = None
 
 
 def _rows(a):
@@ -70,6 +74,13 @@ def _acc_outer(node, a, b):
     node.factors.append((a, b))
 
 
+def _acc_rows(node, ids, rows):
+    """Defer grad[ids] += rows, for an embedding lookup, to backward()."""
+    if node.lookups is None:
+        node.lookups = []
+    node.lookups.append((ids, rows))
+
+
 def backward(root):
     """Backpropagate from a scalar root through the tape."""
     if root.value.ndim != 0:
@@ -91,9 +102,16 @@ def backward(root):
                 stack.append((p, False))
     root.grad = np.asarray(1.0)
     # Every consumer of a node comes before it in this order, so its deferred
-    # pairs are complete here: one GEMM over all their rows adds them, and
-    # doing so before the node's own bwd lets a non-leaf node take them too.
+    # pairs are complete here: one scatter into a fresh buffer adds the
+    # lookups, one GEMM over all their rows adds the factor pairs, and doing
+    # so before the node's own bwd lets a non-leaf node take them too.
     for node in reversed(topo):
+        if node.lookups is not None:
+            lookups, node.lookups = node.lookups, None
+            g = np.zeros_like(node.value)
+            for idx, rows in lookups:           # in recorded order, as add.at sums
+                np.add.at(g, idx, rows)
+            _acc(node, g)
         if node.factors is not None:
             pairs, node.factors = node.factors, None
             a, b = pairs[0] if len(pairs) == 1 else map(np.concatenate, zip(*pairs))
@@ -213,16 +231,15 @@ def affine(W, x, b):
 def embedding_rows(E, ids):
     """Row lookup into an embedding matrix node; int id or (B,) id array.
 
-    The gradient is scattered into a zero buffer owned by E, which keeps the
-    cost per lookup at O(d) instead of O(V d).
+    The gradient rows are deferred (_acc_rows) and scattered into one zero
+    buffer per backward(), which keeps the cost per lookup at O(d) instead
+    of O(V d).
     """
     idx = np.asarray(ids, dtype=np.intp)
     out = Node(E.value[idx], (E,))
 
     def bwd(g):
-        if E.grad is None:
-            E.grad = np.zeros_like(E.value)
-        np.add.at(E.grad, idx, g)
+        _acc_rows(E, idx, g)
     out.bwd = bwd
     return out
 

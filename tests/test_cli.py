@@ -45,6 +45,10 @@ def test_train_writes_checkpoint_and_manifest(workdir, capsys):
     assert manifest["seeds"]["seed"] == 0
     assert manifest["config"]["epochs"] == 1
     assert manifest["outputs"] == ["m.ckpt"]
+    assert manifest["inputs"] == [data_path("overfit_corpus.txt")]
+    assert list(manifest) == ["command", "config", "seeds", "inputs", "outputs",
+                              "build_id", "wall_time_s"]
+    assert not {"func", "manifest", "inputs", "outputs"} & set(manifest["config"])
 
 
 def test_train_missing_corpus_is_usage_error(workdir):
@@ -72,6 +76,18 @@ def test_non_positive_size_is_one_line_failure(workdir, capsys, argv):
     assert err.startswith("qgen: ") and ">= 1" in err
     assert len(err.splitlines()) == 1
     assert not (workdir / "embeddings.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "embed"])
+def test_out_of_memory_is_one_line_failure(workdir, capsys, command):
+    """numpy refuses a petabyte (V, d) matrix at once, before using any memory."""
+    code = main([command, "--corpus", data_path("overfit_corpus.txt"),
+                 "--d", "1000000000000", "--epochs", "1"])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("qgen: out of memory: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert not (workdir / (command + ".manifest.json")).exists()
 
 
 @pytest.mark.parametrize("case", sorted(BAD_EMBEDDINGS))
@@ -163,6 +179,16 @@ def test_validate_tone_violations_exit_3(workdir, capsys):
     report = json.loads(out)
     assert report["structure_ok"] and report["rhyme_ok"]
     assert report["tone_violations"] and not report["compliant"]
+    assert (workdir / "validate.manifest.json").exists()
+
+
+def test_unwritable_manifest_is_one_line_failure(workdir, capsys):
+    (workdir / "hyp.txt").write_text("月黑雁飞高\n", encoding="utf-8")
+    code = main(["--manifest", str(workdir / "missing" / "m.json"),
+                 "bleu", "--hyp", "hyp.txt", "--refs", "hyp.txt"])
+    assert code == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("qgen: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from qgen.generation import (GenerationError, GenRequest, ProsodyRules,
                              beam_search_generate, constraint_mask,
                              log_records_to_jsonl, position_plan)
 from qgen.model import ModelConfig, ModelParams, decode_step, encode, init_decoder_state
-from qgen.prosody import (Tone, load_templates, load_tone_dict,
+from qgen.prosody import (Tone, ToneDict, load_templates, load_tone_dict,
                           match_tonal_template, slot_allows, templates_for,
                           validate_structure)
 
@@ -325,7 +325,10 @@ def test_batched_beam_equals_per_hypothesis_loop(world, kw):
     """The beam decodes its hypotheses as rows of one batch; it must give
     the per-hypothesis loop's poem, step records and final score."""
     vocab, mparams, rules = world
-    req = GenRequest(**kw)
+    assert_beam_matches_oracle(GenRequest(**kw), mparams, vocab, rules)
+
+
+def assert_beam_matches_oracle(req, mparams, vocab, rules):
     poem, records = beam_search_generate(req, mparams, vocab, rules)
     lines, expect = per_hypothesis_beam(req, mparams, vocab, rules)
     assert poem.lines == lines
@@ -333,6 +336,36 @@ def test_batched_beam_equals_per_hypothesis_loop(world, kw):
     got_final, want_final = dict(records[-1]), dict(expect[-1])
     assert abs(got_final.pop("final_logp") - want_final.pop("final_logp")) <= 1e-12
     assert got_final == want_final
+    return records
+
+
+def relaxing_setup(world, dropped):
+    """Model and rules under which the masks must drop `dropped`: no rhyme
+    groups, every character level-toned, or no model mass on any character."""
+    vocab, mparams, rules = world
+    if dropped == "model":
+        tensors = {**mparams.tensors, "out.b": mparams.tensors["out.b"].copy()}
+        tensors["out.b"][N_RESERVED:] = -np.inf
+        return ModelParams(mparams.cfg, tensors, mparams.indicators), rules
+    td = ToneDict()
+    if dropped == "rhyme":
+        td.tones = rules.tone_dict.tones
+    else:
+        td.tones = {vocab.char(i): Tone.PING for i in range(N_RESERVED, len(vocab))}
+        td.groups = rules.tone_dict.groups
+    return mparams, ProsodyRules(tone_dict=td, templates=rules.templates)
+
+
+@pytest.mark.parametrize("dropped", ["rhyme", "tone", "model"])
+@pytest.mark.parametrize("beam, genre", [(1, Genre.FIVE_CHAR), (3, Genre.SEVEN_CHAR)],
+                         ids=["beam1-5char", "beam3-7char"])
+def test_batched_beam_equals_per_hypothesis_loop_under_relaxation(world, dropped, beam, genre):
+    """The relaxations each hypothesis carries match the oracle's."""
+    vocab = world[0]
+    mparams, rules = relaxing_setup(world, dropped)
+    req = GenRequest(keywords="月黑雁飞高", genre=genre, beam_width=beam, seed=beam)
+    records = assert_beam_matches_oracle(req, mparams, vocab, rules)
+    assert dropped in {r["dropped"] for r in records[-1]["relaxations"]}
 
 
 def test_unknown_keyword_char_warns_and_proceeds(world, caplog):

@@ -152,7 +152,7 @@ def tape_nodes(root):
 
 
 def run_fd_flushed(build, params, seed):
-    """run_fd, then check that backward left no deferred factors on the tape."""
+    """run_fd, then check that backward left no deferred pairs on the tape."""
     roots = []
 
     def recording(nodes):
@@ -161,7 +161,8 @@ def run_fd_flushed(build, params, seed):
             roots.append(root)
         return root
     run_fd(recording, params, seed)
-    assert all(node.factors is None for node in tape_nodes(roots[0]))
+    assert all(node.factors is None and node.lookups is None
+               for node in tape_nodes(roots[0]))
 
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
@@ -223,6 +224,22 @@ def test_deferred_and_plain_gradient_on_one_node_fd(seed):
         h = nm.gru_cell(nodes["x"], nm.gru_cell(nodes["x"], nodes["h"], p), p)
         plain = nm.mul(p["Wz"], nm.constant(c))
         return nm.add(weighted_scalar(h, wh), weighted_scalar(plain, wm))
+    run_fd_flushed(build, params, seed)
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_lookup_and_shared_plain_gradient_on_one_node_fd(seed):
+    """E feeds add and a lookup. add hands one gradient array to E and X, so
+    the lookup's rows must reach E's gradient without landing in X's."""
+    rng = np.random.default_rng(seed)
+    V, d = int(rng.integers(3, 6)), int(rng.integers(2, 5))
+    params = {"E": rng.normal(size=(V, d)), "X": rng.normal(size=(V, d))}
+    ws, wr = rng.normal(size=(V, d)), rng.normal(size=(3, d))
+
+    def build(nodes):
+        rows = nm.embedding_rows(nodes["E"], [1, 1, 2])
+        both = nm.add(nodes["E"], nodes["X"])
+        return nm.add(weighted_scalar(both, ws), weighted_scalar(rows, wr))
     run_fd_flushed(build, params, seed)
 
 
