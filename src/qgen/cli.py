@@ -26,7 +26,7 @@ from .generation import (GenerationError, GenRequest, ProsodyRules,
                          beam_search_generate, log_records_to_jsonl)
 from .model import ModelConfig, ModelParams
 from .prosody import (ProsodyError, compliance_report, load_templates,
-                      load_tone_dict, read_lines)
+                      load_tone_dict, read_lines, templates_for)
 from .training import (CheckpointError, GenreMode, TrainConfig,
                        load_checkpoint, save_checkpoint, train)
 
@@ -125,7 +125,7 @@ def cmd_generate(args):
     poem, records = beam_search_generate(req, mparams, vocab, rules)
     for line in poem.lines:
         print(line)
-    if rules.tone_dict is not None and rules.templates:
+    if rules.tone_dict is not None and templates_for(rules.templates, req.genre):
         rep = compliance_report(poem.lines, rules.tone_dict, rules.templates)
         print(json.dumps(rep.to_dict(), ensure_ascii=False))
     if args.log:

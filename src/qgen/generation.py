@@ -3,14 +3,16 @@
 The decoder runs over a fixed position plan: genre-many characters per line,
 a SEP token between lines, stop after line 4. Structure is therefore a hard
 guarantee. Tone and rhyme are enforced by masking the output distribution;
-when a mask would remove all probability mass the constraints are relaxed in
-the order rhyme -> tone, and every relaxation is logged. The live hypotheses
-are the rows of one batch: one decoder call per position serves them all.
+when the masks would remove all probability mass the rules in force at that
+position are relaxed in the order rhyme -> tone, and every relaxation of a rule
+in force is logged. The live hypotheses are the rows of one batch: one decoder
+call per position serves them all.
 """
 
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -75,38 +77,34 @@ def constraint_mask(line, pos, dist, table, template, rhyme_group,
                     tone_on, rhyme_on, genre):
     """Mask and renormalize the distribution of one character position.
 
-    Structure masking (no reserved token) is unconditional. Tone masking
-    follows the bound template's slot; rhyme masking applies at the final
-    characters of lines 2 and 4 (group bound by line 2, matched by line 4).
-    `table` holds the tone codes and rhyme groups of the vocabulary
-    (`ToneDict.tables`). If all mass is removed, constraints are relaxed rhyme
-    first, then tone; relaxations are returned. Separator steps never come
-    here: the beam emits SEP there unconditionally.
+    Structure masking (no reserved token) is unconditional. The rules in force
+    are decided once: rhyme at the final characters of lines 2 and 4 (group
+    bound by line 2, matched by line 4), then tone by the bound template's
+    slot. `table` holds the tone codes and rhyme groups of the vocabulary
+    (`ToneDict.tables`). While all mass is removed, the first rule in force is
+    dropped, and then the uniform "model" fallback; every relaxation of a rule
+    in force is returned. Separator steps never come here: the beam emits SEP.
     """
     p = np.asarray(dist, dtype=np.float64).copy()
-    relaxations = []
-    structural = np.zeros_like(p)
-    structural[N_RESERVED:] = 1.0
-
-    tone = rhyme = True
-    if tone_on and template is not None:
-        tone = slot_allows(template.slot(line, pos), table[0])
+    p[:N_RESERVED] = 0.0
+    in_force = []                       # (rule, 0/1 mask), in the order they are dropped
     if rhyme_on and pos == genre.value - 1 and line in (1, 3):
         rhyme = np.not_equal(table[1], None)    # a rhyme needs a known group
         if line == 3:
             rhyme &= table[1] == rhyme_group
-
-    masked = p * structural * tone * rhyme
-    if masked.sum() <= 0.0 and rhyme_on:
-        relaxations.append({"line": line, "pos": pos, "dropped": "rhyme"})
-        masked = p * structural * tone
-    if masked.sum() <= 0.0 and tone_on:
-        relaxations.append({"line": line, "pos": pos, "dropped": "tone"})
-        masked = p * structural
+        in_force.append(("rhyme", rhyme))
+    if tone_on and template is not None:
+        in_force.append(("tone", slot_allows(template.slot(line, pos), table[0])))
+    relaxations = []
+    masked = reduce(np.multiply, [allowed for _, allowed in in_force], p)
+    while masked.sum() <= 0.0 and in_force:
+        relaxations.append({"line": line, "pos": pos, "dropped": in_force.pop(0)[0]})
+        masked = reduce(np.multiply, [allowed for _, allowed in in_force], p)
     if masked.sum() <= 0.0:
         # model put zero mass on every character token; fall back to uniform
         relaxations.append({"line": line, "pos": pos, "dropped": "model"})
-        masked = structural.copy()
+        p[N_RESERVED:] = 1.0
+        masked = p
     return masked / masked.sum(), relaxations
 
 

@@ -247,7 +247,7 @@ def embedding_rows(E, ids):
 def softmax(z):
     """Stable softmax along the last axis. Rows positive, each summing to 1."""
     v = z.value
-    if v.shape[-1] < 1 or v.ndim < 1:
+    if v.ndim < 1 or v.shape[-1] < 1:
         raise ShapeError("softmax expects a non-empty vector, got shape %s" % (v.shape,))
     e = np.exp(v - v.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)

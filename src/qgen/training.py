@@ -136,13 +136,11 @@ def _genre_pure_batches(examples, order, minibatch):
     return batches
 
 
-def train_epoch(examples, mparams, opt_state, config, epoch=0, rng=None):
-    """One pass over the examples; one AdaDelta step per minibatch."""
+def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
+    """One pass over the examples, shuffled by `rng`; one AdaDelta step per minibatch."""
     if not examples:
         raise ValueError("no training examples")
     _check_genre_mode(examples, config.genre_mode)
-    if rng is None:
-        rng = np.random.Generator(np.random.PCG64(config.seed + epoch))
     order = np.arange(len(examples))
     rng.shuffle(order)
     total = 0.0

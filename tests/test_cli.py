@@ -124,6 +124,17 @@ def test_generate_seven_char(workdir, trained, capsys):
     assert all(len(l) == 7 for l in lines[:4])
 
 
+def test_generate_without_templates_for_genre_prints_no_self_report(workdir, trained, capsys):
+    with open(data_path("templates.txt"), encoding="utf-8") as f:
+        five_only = f.read().split("# qi_1")[0]
+    (workdir / "five.txt").write_text(five_only, encoding="utf-8")
+    assert main(["generate", "--checkpoint", trained, "--keywords", "月黑", "--genre", "7",
+                 "--no-tone", "--templates", "five.txt"]) == EXIT_OK
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 4 and all(len(l) == 7 for l in out)
+    assert (workdir / "generate.manifest.json").exists()
+
+
 def test_generate_missing_checkpoint(workdir, capsys):
     code = main(["generate", "--checkpoint", "absent.ckpt",
                  "--keywords", "月", "--genre", "5"])

@@ -147,10 +147,11 @@ def reference_mask(line, pos, dist, vocab, tone_dict, template, rhyme_group,
                 rhyme[idx] = 0.0
     relaxations = []
     masked = p * structural * tone * rhyme
-    if masked.sum() <= 0.0 and rhyme_on:
+    # only a rule in force at (line, pos) can be relaxed
+    if masked.sum() <= 0.0 and rhyme_on and pos == genre.value - 1 and line in (1, 3):
         relaxations.append({"line": line, "pos": pos, "dropped": "rhyme"})
         masked = p * structural * tone
-    if masked.sum() <= 0.0 and tone_on:
+    if masked.sum() <= 0.0 and tone_on and template is not None:
         relaxations.append({"line": line, "pos": pos, "dropped": "tone"})
         masked = p * structural
     if masked.sum() <= 0.0:
@@ -180,6 +181,7 @@ def test_mask_matches_per_character_oracle(world):
                               tone_on, rhyme_on, genre)
         assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
         assert got[1] == want[1]
+        return [r["dropped"] for r in got[1]]
 
     for genre in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
         last = genre.value - 1
@@ -192,10 +194,19 @@ def test_mask_matches_per_character_oracle(world):
             for group in groups:
                 check(line, last, dist, None, group, False, True, genre)
         template = templates_for(rules.templates, genre)[0]
+        # all mass on a reserved token: each rule in force drops, in order,
+        # and no rule that is not in force is logged
         for group in ("ao", None):
-            check(3, last, on_reserved, template, group, True, True, genre)
-            check(0, 0, on_reserved, template, group, True, True, genre)
-            check(3, last, on_reserved, None, group, False, False, genre)
+            for line, pos, tmpl, tone_on, rhyme_on, dropped in (
+                    (3, last, template, True, True, ["rhyme", "tone", "model"]),
+                    (0, 0, template, True, True, ["tone", "model"]),
+                    (1, 2, template, True, True, ["tone", "model"]),
+                    (3, last, None, True, True, ["rhyme", "model"]),
+                    (0, 0, None, True, False, ["model"]),
+                    (2, last, None, False, True, ["model"]),
+                    (3, last, None, False, False, ["model"])):
+                assert check(line, pos, on_reserved, tmpl, group,
+                             tone_on, rhyme_on, genre) == dropped
 
 
 def test_slot_allows_agrees_with_template_violations(world):
@@ -360,12 +371,18 @@ def relaxing_setup(world, dropped):
 @pytest.mark.parametrize("beam, genre", [(1, Genre.FIVE_CHAR), (3, Genre.SEVEN_CHAR)],
                          ids=["beam1-5char", "beam3-7char"])
 def test_batched_beam_equals_per_hypothesis_loop_under_relaxation(world, dropped, beam, genre):
-    """The relaxations each hypothesis carries match the oracle's."""
+    """The relaxations each hypothesis carries match the oracle's, and a
+    rhyme is relaxed only where one is in force: the last character of
+    lines 2 and 4."""
     vocab = world[0]
     mparams, rules = relaxing_setup(world, dropped)
     req = GenRequest(keywords="月黑雁飞高", genre=genre, beam_width=beam, seed=beam)
     records = assert_beam_matches_oracle(req, mparams, vocab, rules)
-    assert dropped in {r["dropped"] for r in records[-1]["relaxations"]}
+    final = records[-1]["relaxations"]
+    assert dropped in {r["dropped"] for r in final}
+    logged = final + [r for rec in records[:-1] for r in rec.get("relaxations", [])]
+    assert {(r["line"], r["pos"]) for r in logged if r["dropped"] == "rhyme"} <= {
+        (1, genre.value - 1), (3, genre.value - 1)}
 
 
 def test_unknown_keyword_char_warns_and_proceeds(world, caplog):

@@ -404,6 +404,9 @@ def test_softmax_properties():
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
         # invariance under a per-row shift
         np.testing.assert_allclose(nm.softmax(nm.Node(z + 100.0)).value, p, atol=1e-12)
+    for bad in (3.0, np.zeros(0), np.zeros((2, 0))):
+        with pytest.raises(nm.ShapeError):
+            nm.softmax(nm.Node(bad))
 
 
 def test_cross_entropy_clamps_zero_mass():

@@ -335,4 +335,4 @@ def test_train_epoch_requires_examples(setup):
     mp = ModelParams.initialize(cfg)
     opt = nm.AdaDeltaState(mp.tensors)
     with pytest.raises(ValueError):
-        train_epoch([], mp, opt, TrainConfig())
+        train_epoch([], mp, opt, TrainConfig(), np.random.default_rng(0))
