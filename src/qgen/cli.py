@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from importlib import resources
 
 from . import __version__
@@ -107,11 +108,11 @@ def cmd_train(args):
     mparams = ModelParams.initialize(mcfg, pretrained_embedding=pretrained)
     tcfg = TrainConfig(epochs=args.epochs, minibatch=args.minibatch,
                        seed=args.seed, genre_mode=GenreMode(args.genre))
-    opt_state, _, step = train(
+    _, _, step = train(
         examples, mparams, tcfg,
         stop_below_loss=args.stop_below_loss,
         log_fn=lambda r: print(r.to_json(), flush=True))
-    save_checkpoint(args.out, mparams, opt_state, vocab, step, args.seed)
+    save_checkpoint(args.out, mparams, None, vocab, step, args.seed)
     return EXIT_OK
 
 
@@ -122,15 +123,16 @@ def cmd_generate(args):
                      beam_width=args.beam, tone=not args.no_tone,
                      rhyme=not args.no_rhyme, seed=args.seed,
                      sep_keywords=args.sep_keywords)
-    poem, records = beam_search_generate(req, mparams, vocab, rules)
+    # the log opens before decoding, so a bad --log path fails before any poem is printed
+    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log:
+        poem, records = beam_search_generate(req, mparams, vocab, rules)
+        if log:
+            log.write(log_records_to_jsonl(records) + "\n")
     for line in poem.lines:
         print(line)
     if rules.tone_dict is not None and templates_for(rules.templates, req.genre):
         rep = compliance_report(poem.lines, rules.tone_dict, rules.templates)
         print(json.dumps(rep.to_dict(), ensure_ascii=False))
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as f:
-            f.write(log_records_to_jsonl(records) + "\n")
     return EXIT_OK
 
 

@@ -8,8 +8,10 @@ step follows each minibatch. Only the decoder recurrence runs step by step:
 its T feature rows are stacked, and one output projection, one softmax and
 one cross entropy run over the whole (B, T, V) minibatch.
 
-Checkpoint container: magic `QGEN`, u32 version, u64 header length, JSON
-header, then length-prefixed named tensors as little-endian doubles.
+Checkpoint container, version 2: magic `QGEN`, u32 version, u64 header
+length, JSON header, then length-prefixed named tensors as little-endian
+doubles: the model parameters and genre indicators, which generation reads.
+It holds no optimizer state, so training cannot resume from a checkpoint.
 """
 
 import json
@@ -186,9 +188,8 @@ def train(examples, mparams, config, stop_below_loss=None, log_fn=None):
 # ---------------------------------------------------------------------------
 
 MAGIC = b"QGEN"
-VERSION = 1
-HEADER_FIELDS = ("hyper", "rho", "epsilon", "step", "train_seed", "vocab", "tensors")
-OPT_PREFIXES = ("opt.eg2.", "opt.edx2.")
+VERSION = 2
+HEADER_FIELDS = ("hyper", "step", "train_seed", "vocab", "tensors")
 
 
 class CheckpointError(Exception):
@@ -207,41 +208,41 @@ def _write_tensor(f, name, arr):
 
 
 class _Reader:
-    def __init__(self, data):
-        self.data = data
-        self.off = 0
+    """Reads an open checkpoint file into fresh buffers (`make(n)`), checking
+    each length against what is left of the file before allocating."""
 
-    def take(self, n, what):
-        if self.off + n > len(self.data):
+    def __init__(self, f):
+        self.f = f
+        self.off = 0
+        self.size = os.fstat(f.fileno()).st_size
+
+    def take(self, n, what, make=bytearray):
+        if n > self.size - self.off:
             raise CheckpointError("truncated checkpoint: need %d bytes for %s at offset %d"
                                   % (n, what, self.off))
-        chunk = self.data[self.off:self.off + n]
         self.off += n
-        return chunk
+        buf = make(n)
+        self.f.readinto(buf)
+        return buf
 
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def uint(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
-    """Write a self-describing checkpoint; reload is bit-exact.
+    """Write a self-describing checkpoint of the model; reload is bit-exact.
 
+    `opt_state` is ignored: generation never reads optimizer state, so version
+    2 drops it, and the argument stays only for callers written for version 1.
     The file is written beside `path` and renamed over it, so a failed write
     leaves any previous checkpoint at `path` intact.
     """
     out = dict(mparams.tensors)
-    for prefix, acc in zip(OPT_PREFIXES, (opt_state.eg2, opt_state.edx2)):
-        out.update((prefix + k, v) for k, v in acc.items())
     out["ind.5"] = mparams.indicators[Genre.FIVE_CHAR]
     out["ind.7"] = mparams.indicators[Genre.SEVEN_CHAR]
     names = sorted(out)
     header = {
         "hyper": mparams.cfg.to_dict(),
-        "rho": opt_state.rho,
-        "epsilon": opt_state.epsilon,
         "step": step,
         "train_seed": train_seed,
         "vocab": [[c, i, vocab.freq.get(c, 0)] for c, i in vocab.char_to_id.items()],
@@ -264,42 +265,45 @@ def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelParams, AdaDeltaState, Vocab, step, train_seed)."""
+    """Read a checkpoint; returns (ModelParams, None, Vocab, step, train_seed).
+
+    The None held the AdaDelta state in version 1; it stays for callers that unpack five.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data)
-    if r.take(4, "magic") != MAGIC:
-        raise CheckpointError("bad magic at offset 0: not a qgen checkpoint")
-    version = r.u32("version")
-    if version != VERSION:
-        raise CheckpointError("checkpoint version %d unsupported (expected %d)"
-                              % (version, VERSION))
-    hlen = r.u64("header length")
-    try:
-        header = json.loads(r.take(hlen, "header").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-        raise CheckpointError("corrupt header at offset 16: %s" % e) from e
-    if not isinstance(header, dict):
-        raise CheckpointError("checkpoint header is not a JSON object")
-    missing = [k for k in HEADER_FIELDS if k not in header]
-    if missing:
-        raise CheckpointError("checkpoint header lacks %s" % ", ".join(missing))
-    if not isinstance(header["tensors"], list):
-        raise CheckpointError("checkpoint header 'tensors' is not a list")
-    tensors = {}
-    for expected in header["tensors"]:
-        nlen = r.u32("tensor name length")
-        name = r.take(nlen, "tensor name").decode("utf-8", "replace")
-        if name != expected:
-            raise CheckpointError("tensor order mismatch at offset %d: %r vs %r"
-                                  % (r.off, name, expected))
-        ndim = r.u32("rank")
-        shape = tuple(r.u64("dim") for _ in range(ndim))
-        count = math.prod(shape)
-        raw = r.take(count * 8, "tensor %r data" % name)
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if r.off != len(data):
-        raise CheckpointError("trailing bytes at offset %d" % r.off)
+        r = _Reader(f)
+        if r.take(4, "magic") != MAGIC:
+            raise CheckpointError("bad magic at offset 0: not a qgen checkpoint")
+        version = r.uint("<I", "version")
+        if version != VERSION:
+            raise CheckpointError("checkpoint version %d unsupported (expected %d)"
+                                  % (version, VERSION))
+        hlen = r.uint("<Q", "header length")
+        try:
+            header = json.loads(r.take(hlen, "header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+            raise CheckpointError("corrupt header at offset 16: %s" % e) from e
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint header is not a JSON object")
+        missing = [k for k in HEADER_FIELDS if k not in header]
+        if missing:
+            raise CheckpointError("checkpoint header lacks %s" % ", ".join(missing))
+        if not isinstance(header["tensors"], list):
+            raise CheckpointError("checkpoint header 'tensors' is not a list")
+        tensors = {}
+        for expected in header["tensors"]:
+            nlen = r.uint("<I", "tensor name length")
+            name = r.take(nlen, "tensor name").decode("utf-8", "replace")
+            if name != expected:
+                raise CheckpointError("tensor order mismatch at offset %d: %r vs %r"
+                                      % (r.off, name, expected))
+            ndim = r.uint("<I", "rank")
+            shape = tuple(r.uint("<Q", "dim") for _ in range(ndim))
+            tensors[name] = r.take(8 * math.prod(shape), "tensor %r data" % name,
+                                   lambda n: np.empty(shape, dtype="<f8"))
+            if not np.isfinite(tensors[name]).all():
+                raise CheckpointError("tensor %r holds a non-finite value" % name)
+        if r.off != r.size:
+            raise CheckpointError("trailing bytes at offset %d" % r.off)
 
     hyper = header["hyper"]
     hyper_types = {f.name: f.type for f in fields(ModelConfig)}
@@ -312,9 +316,7 @@ def load_checkpoint(path):
         shapes = param_shapes(cfg)
     except (TypeError, ValueError) as e:
         raise CheckpointError("bad hyper parameters %r: %s" % (hyper, e)) from e
-    want = {"ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
-    for prefix in ("",) + OPT_PREFIXES:
-        want.update((prefix + k, shape) for k, shape in shapes.items())
+    want = {**shapes, "ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
     if set(tensors) != set(want):
         raise CheckpointError("tensors missing %s, unexpected %s"
                               % (sorted(set(want) - set(tensors)),
@@ -324,14 +326,8 @@ def load_checkpoint(path):
             raise CheckpointError("tensor %r has shape %s, hyper parameters give %s"
                                   % (name, tensors[name].shape, shape))
 
-    params = {k: tensors[k] for k in shapes}
     indicators = {Genre.FIVE_CHAR: tensors["ind.5"], Genre.SEVEN_CHAR: tensors["ind.7"]}
-    mparams = ModelParams(cfg, params, indicators)
-    try:
-        state = nm.AdaDeltaState(params, rho=header["rho"], epsilon=header["epsilon"])
-    except (TypeError, ValueError) as e:
-        raise CheckpointError("bad optimizer settings: %s" % e) from e
-    state.eg2, state.edx2 = ({k: tensors[prefix + k] for k in shapes} for prefix in OPT_PREFIXES)
+    mparams = ModelParams(cfg, {k: tensors[k] for k in shapes}, indicators)
     entries = header["vocab"]
     if not isinstance(entries, list) or any(
             not isinstance(e, list) or [type(x) for x in e] != [str, int, int]
@@ -345,4 +341,4 @@ def load_checkpoint(path):
         raise CheckpointError("vocabulary of %d entries does not hold ids 0..%d"
                               % (len(vocab), cfg.vocab_size - 1))
     vocab.id_to_char = {idx: char for char, idx in vocab.char_to_id.items()}
-    return mparams, state, vocab, header["step"], header["train_seed"]
+    return mparams, None, vocab, header["step"], header["train_seed"]

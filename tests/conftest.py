@@ -46,7 +46,7 @@ def edit_checkpoint_header(blob, edit):
 # Header edits that each make a checkpoint malformed, with the error they give.
 BAD_HEADERS = {
     "not an object": (lambda h: [h], "not a JSON object"),
-    "missing field": (lambda h: {k: v for k, v in h.items() if k != "rho"}, "lacks rho"),
+    "missing field": (lambda h: {k: v for k, v in h.items() if k != "step"}, "lacks step"),
     "unknown hyper key": (lambda h: {**h, "hyper": {**h["hyper"], "colour": 1}},
                           "hyper parameters"),
     "hyper over other shapes": (lambda h: {**h, "hyper": {**h["hyper"], "d": 7}},

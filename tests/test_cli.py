@@ -117,6 +117,15 @@ def test_generate_deterministic_stdout(workdir, trained, capsys):
     assert (workdir / "generate.manifest.json").exists()
 
 
+def test_generate_unwritable_log_prints_no_poem(workdir, trained, capsys):
+    assert main(["generate", "--checkpoint", trained, "--keywords", "月黑",
+                 "--genre", "5", "--beam", "1", "--log", "nodir/x.jsonl"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qgen: ") and len(err.splitlines()) == 1
+    assert not (workdir / "generate.manifest.json").exists()
+
+
 def test_generate_seven_char(workdir, trained, capsys):
     assert main(["generate", "--checkpoint", trained, "--keywords", "月黑",
                  "--genre", "7", "--beam", "1", "--seed", "1"]) == EXIT_OK

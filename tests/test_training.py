@@ -1,6 +1,8 @@
 """Training loop, loss oracles, and checkpoint serialization."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -205,20 +207,25 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     _, vocab, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
     tcfg = TrainConfig(epochs=2, minibatch=2, seed=4)
-    opt, _, step = train(examples, mp, tcfg)
+    _, _, step = train(examples, mp, tcfg)
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, mp, opt, vocab, step, 4)
+    save_checkpoint(path, mp, None, vocab, step, 4)
     mp2, opt2, vocab2, step2, seed2 = load_checkpoint(path)
+    assert opt2 is None
     assert (step2, seed2) == (step, 4)
     assert mp2.cfg.to_dict() == cfg.to_dict()
     assert vocab2.char_to_id == vocab.char_to_id
     for name in mp.tensors:
         np.testing.assert_array_equal(mp2.tensors[name], mp.tensors[name])
-        np.testing.assert_array_equal(opt2.eg2[name], opt.eg2[name])
-        np.testing.assert_array_equal(opt2.edx2[name], opt.edx2[name])
     for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
         np.testing.assert_array_equal(mp2.indicators[g], mp.indicators[g])
-    # training resumes producing identical losses from either object
+    # the file holds the model only: no optimizer state
+    with open(path, "rb") as f:
+        blob = f.read()
+    hlen = struct.unpack("<Q", blob[8:16])[0]
+    header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+    assert header["tensors"] == sorted([*mp.tensors, "ind.5", "ind.7"])
+    # the reloaded model computes identical losses
     l1, _ = batch_loss([examples[0]], mp)
     l2, _ = batch_loss([examples[0]], mp2)
     np.testing.assert_array_equal(l1, l2)
@@ -227,9 +234,8 @@ def test_checkpoint_roundtrip(tmp_path, setup):
 def test_checkpoint_corruption_errors(tmp_path, setup):
     _, vocab, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
-    opt = nm.AdaDeltaState(mp.tensors)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), mp, opt, vocab, 0, 0)
+    save_checkpoint(str(path), mp, None, vocab, 0, 0)
     blob = path.read_bytes()
 
     bad = tmp_path / "bad.ckpt"
@@ -245,10 +251,11 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(str(bad))
 
-    import struct
-    bad.write_bytes(blob[:4] + struct.pack("<I", 99) + blob[8:])
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(str(bad))
+    for version in (1, 99):
+        bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+        with pytest.raises(CheckpointError,
+                           match="version %d unsupported \\(expected 2\\)" % version):
+            load_checkpoint(str(bad))
 
     # first tensor's dims set to 2**32 each: their product overflows int64
     hlen = struct.unpack("<Q", blob[8:16])[0]
@@ -257,6 +264,10 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
     ndim = struct.unpack("<I", blob[at:at + 4])[0]
     assert ndim == 2
     bad.write_bytes(blob[:at + 4] + struct.pack("<QQ", 2**32, 2**32) + blob[at + 20:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(str(bad))
+
+    bad.write_bytes(blob[:8] + struct.pack("<Q", 2**63) + blob[16:])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(str(bad))
 
@@ -271,27 +282,31 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
         load_checkpoint(str(bad))
 
 
-def _drop_tensor(mp, opt):
+def _drop_tensor(mp):
     del mp.tensors["out.b"]
 
 
-def _bad_optimizer_shape(mp, opt):
-    opt.eg2["emb"] = np.zeros((1, 1))
+def _nan_bias(mp):
+    mp.tensors["out.b"][3] = np.nan
+
+
+def _inf_weight(mp):
+    mp.tensors["dec.Wz"][0, 0] = np.inf
 
 
 @pytest.mark.parametrize("edit_header, edit_state, match", [
     *[(edit, None, match) for edit, match in BAD_HEADERS.values()],
     (None, _drop_tensor, "missing \\['out.b'\\]"),
-    (None, _bad_optimizer_shape, "'opt.eg2.emb' has shape"),
-], ids=[*BAD_HEADERS, "missing tensor", "optimizer shape"])
+    (None, _nan_bias, "'out.b' holds a non-finite value"),
+    (None, _inf_weight, "'dec.Wz' holds a non-finite value"),
+], ids=[*BAD_HEADERS, "missing tensor", "NaN tensor", "inf tensor"])
 def test_checkpoint_malformed_contents(tmp_path, setup, edit_header, edit_state, match):
     _, vocab, _, cfg = setup
     mp = ModelParams.initialize(cfg)
-    opt = nm.AdaDeltaState(mp.tensors)
     if edit_state:
-        edit_state(mp, opt)
+        edit_state(mp)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), mp, opt, vocab, 0, 0)
+    save_checkpoint(str(path), mp, None, vocab, 0, 0)
     if edit_header:
         path.write_bytes(edit_checkpoint_header(path.read_bytes(), edit_header))
     with pytest.raises(CheckpointError, match=match):
@@ -301,9 +316,8 @@ def test_checkpoint_malformed_contents(tmp_path, setup, edit_header, edit_state,
 def test_failed_save_keeps_previous_checkpoint(tmp_path, setup, monkeypatch):
     _, vocab, _, cfg = setup
     mp = ModelParams.initialize(cfg)
-    opt = nm.AdaDeltaState(mp.tensors)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(str(path), mp, opt, vocab, 3, 0)
+    save_checkpoint(str(path), mp, None, vocab, 3, 0)
     blob = path.read_bytes()
 
     calls = []
@@ -315,7 +329,7 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, setup, monkeypatch):
         _write_tensor(f, name, arr)
     monkeypatch.setattr("qgen.training._write_tensor", failing_write)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(str(path), mp, opt, vocab, 4, 0)
+        save_checkpoint(str(path), mp, None, vocab, 4, 0)
     assert path.read_bytes() == blob
     assert os.listdir(tmp_path) == ["model.ckpt"]
     mp2, _, _, step, _ = load_checkpoint(str(path))
