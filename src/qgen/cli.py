@@ -18,6 +18,8 @@ import time
 from contextlib import nullcontext
 from importlib import resources
 
+import numpy as np
+
 from . import __version__
 from .corpus import (CorpusError, Genre, build_training_sequence, build_vocab,
                      filter_poems, parse_corpus)
@@ -39,8 +41,8 @@ EXIT_INVALID = 3
 GENRES = {"5": Genre.FIVE_CHAR, "7": Genre.SEVEN_CHAR}
 
 
-def _packaged(name):
-    return str(resources.files("qgen").joinpath("data", name))
+def _packaged(name):                # a Traversable: read_lines reads it also from a zip
+    return resources.files("qgen") / "data" / name
 
 
 def _build_id():
@@ -66,10 +68,17 @@ def _manifest(args, started):
                "inputs": [str(getattr(args, k)) for k in args.inputs if getattr(args, k)],
                "outputs": [str(getattr(args, k)) for k in args.outputs if getattr(args, k)],
                "build_id": _build_id(),
+               # what a timing or a last-bit difference depends on
+               "environment": {"numpy": np.__version__,
+                               "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")
+                               or os.environ.get("OMP_NUM_THREADS") or "unset",
+                               "cpu_count": os.cpu_count(),
+                               "usable_cpus": len(os.sched_getaffinity(0))
+                               if hasattr(os, "sched_getaffinity") else None},
                "wall_time_s": round(time.monotonic() - started, 3)}
     with open(args.manifest or (args.command + ".manifest.json"), "w",
               encoding="utf-8") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=2)
+        json.dump(payload, f, ensure_ascii=False, indent=2, default=str)  # str: a packaged path
         f.write("\n")
 
 

@@ -268,6 +268,9 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, None, Vocab, step, train_seed).
 
     The None held the AdaDelta state in version 1; it stays for callers that unpack five.
+    A checkpoint is only read to generate, so every weight matrix but `emb` (whose
+    rows are gathered) is laid out column-major: the decoder's `x @ W.T` at a beam's
+    few rows then reads a contiguous `W.T`, which the BLAS multiplies faster.
     """
     with open(path, "rb") as f:
         r = _Reader(f)
@@ -302,6 +305,8 @@ def load_checkpoint(path):
                                    lambda n: np.empty(shape, dtype="<f8"))
             if not np.isfinite(tensors[name]).all():
                 raise CheckpointError("tensor %r holds a non-finite value" % name)
+            if tensors[name].ndim == 2 and name != "emb":
+                tensors[name] = np.asfortranarray(tensors[name])
         if r.off != r.size:
             raise CheckpointError("trailing bytes at offset %d" % r.off)
 

@@ -1,10 +1,16 @@
 """End-to-end CLI runs through main(): exit codes, outputs, manifests."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+import zipfile
 
+import numpy as np
 import pytest
 
+import qgen
 from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_header
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
 
@@ -47,7 +53,11 @@ def test_train_writes_checkpoint_and_manifest(workdir, capsys):
     assert manifest["outputs"] == ["m.ckpt"]
     assert manifest["inputs"] == [data_path("overfit_corpus.txt")]
     assert list(manifest) == ["command", "config", "seeds", "inputs", "outputs",
-                              "build_id", "wall_time_s"]
+                              "build_id", "environment", "wall_time_s"]
+    env = manifest["environment"]
+    assert list(env) == ["numpy", "blas_threads", "cpu_count", "usable_cpus"]
+    assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+    assert isinstance(env["blas_threads"], str) and 1 <= env["usable_cpus"] <= os.cpu_count()
     assert not {"func", "manifest", "inputs", "outputs"} & set(manifest["config"])
 
 
@@ -142,6 +152,32 @@ def test_generate_without_templates_for_genre_prints_no_self_report(workdir, tra
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 4 and all(len(l) == 7 for l in out)
     assert (workdir / "generate.manifest.json").exists()
+
+
+def test_generate_from_zipped_package_reads_packaged_defaults(tmp_path, trained):
+    """Imported from a zip, qgen reads its default tone dictionary and
+    templates through the package, as they are no filesystem paths."""
+    package = os.path.dirname(qgen.__file__)
+    archive = str(tmp_path / "qgen.zip")
+    with zipfile.ZipFile(archive, "w") as z:
+        for root, dirs, files in os.walk(package):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in files:
+                path = os.path.join(root, name)
+                z.write(path, os.path.relpath(path, os.path.dirname(package)))
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import qgen.cli; "
+              "assert qgen.cli.__file__.startswith(sys.argv[1]); "
+              "sys.exit(qgen.cli.main(sys.argv[2:]))")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "QGEN_CONFIG")}
+    proc = subprocess.run([sys.executable, "-c", script, archive, "--manifest", "g.json",
+                           "generate", "--checkpoint", trained, "--keywords", "月黑",
+                           "--genre", "5", "--beam", "1"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert len(proc.stdout.splitlines()) == 5           # four lines and the self-report
+    inputs = json.loads((tmp_path / "g.json").read_text(encoding="utf-8"))["inputs"]
+    assert inputs[1:] == [os.path.join(archive, "qgen", "data", name)
+                          for name in ("tone_dict.tsv", "templates.txt")]
 
 
 def test_generate_missing_checkpoint(workdir, capsys):

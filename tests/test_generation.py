@@ -15,6 +15,7 @@ from qgen.model import ModelConfig, ModelParams, decode_step, encode, init_decod
 from qgen.prosody import (Tone, ToneDict, load_templates, load_tone_dict,
                           match_tonal_template, slot_allows, templates_for,
                           validate_structure)
+from qgen.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 POEMS = [
     Poem(Genre.FIVE_CHAR, ["月黑雁飞高", "单于夜遁逃", "欲将轻骑逐", "大雪满弓刀"]),
@@ -329,9 +330,12 @@ BEAM_REQUESTS = [
           sep_keywords=True) for beam in (1, 3, 5)]
 
 
-@pytest.mark.parametrize("kw", BEAM_REQUESTS,
-                         ids=lambda kw: "-".join("%s=%s" % (k, getattr(v, "name", v))
-                                                 for k, v in kw.items() if k != "keywords"))
+def request_id(kw):
+    return "-".join("%s=%s" % (k, getattr(v, "name", v)) for k, v in kw.items()
+                    if k != "keywords")
+
+
+@pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
 def test_batched_beam_equals_per_hypothesis_loop(world, kw):
     """The beam decodes its hypotheses as rows of one batch; it must give
     the per-hypothesis loop's poem, step records and final score."""
@@ -341,13 +345,40 @@ def test_batched_beam_equals_per_hypothesis_loop(world, kw):
 
 def assert_beam_matches_oracle(req, mparams, vocab, rules):
     poem, records = beam_search_generate(req, mparams, vocab, rules)
-    lines, expect = per_hypothesis_beam(req, mparams, vocab, rules)
-    assert poem.lines == lines
+    assert_same_search(poem.lines, records, *per_hypothesis_beam(req, mparams, vocab, rules))
+    return records
+
+
+def assert_same_search(lines, records, want_lines, expect):
+    """Equal poems and step records, and final scores equal to 1e-12."""
+    assert lines == want_lines
     assert log_records_to_jsonl(records[:-1]) == log_records_to_jsonl(expect[:-1])
     got_final, want_final = dict(records[-1]), dict(expect[-1])
     assert abs(got_final.pop("final_logp") - want_final.pop("final_logp")) <= 1e-12
     assert got_final == want_final
-    return records
+
+
+@pytest.fixture(scope="module")
+def trained_and_reloaded(world, tmp_path_factory):
+    """A toy model trained in memory, and the same model saved and reloaded,
+    which lays its weight matrices out column-major."""
+    vocab, mparams, _ = world
+    trained = ModelParams.initialize(mparams.cfg)
+    examples = [build_training_sequence(p, vocab) for p in POEMS]
+    train(examples, trained, TrainConfig(epochs=3, minibatch=2, seed=5))
+    path = str(tmp_path_factory.mktemp("ckpt") / "toy.ckpt")
+    save_checkpoint(path, trained, None, vocab, 3, 5)
+    return trained, load_checkpoint(path)[0]
+
+
+@pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
+def test_reloaded_checkpoint_generates_as_trained_model(world, trained_and_reloaded, kw):
+    vocab, _, rules = world
+    trained, reloaded = trained_and_reloaded
+    req = GenRequest(**kw)
+    poem, records = beam_search_generate(req, reloaded, vocab, rules)
+    want, expect = beam_search_generate(req, trained, vocab, rules)
+    assert_same_search(poem.lines, records, want.lines, expect)
 
 
 def relaxing_setup(world, dropped):

@@ -217,6 +217,12 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     assert vocab2.char_to_id == vocab.char_to_id
     for name in mp.tensors:
         np.testing.assert_array_equal(mp2.tensors[name], mp.tensors[name])
+    # laid out for generation: every weight matrix but `emb` is column-major
+    matrices = [k for k, v in mp2.tensors.items() if v.ndim == 2]
+    assert "emb" in matrices and len(matrices) == 25
+    for name in matrices:
+        assert mp2.tensors[name].flags.f_contiguous == (name != "emb"), name
+    assert mp2.tensors["emb"].flags.c_contiguous
     for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
         np.testing.assert_array_equal(mp2.indicators[g], mp.indicators[g])
     # the file holds the model only: no optimizer state
@@ -225,6 +231,9 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     hlen = struct.unpack("<Q", blob[8:16])[0]
     header = json.loads(blob[16:16 + hlen].decode("utf-8"))
     assert header["tensors"] == sorted([*mp.tensors, "ind.5", "ind.7"])
+    # saving the loaded model writes the same bytes
+    save_checkpoint(str(tmp_path / "again.ckpt"), mp2, None, vocab2, step2, seed2)
+    assert (tmp_path / "again.ckpt").read_bytes() == blob
     # the reloaded model computes identical losses
     l1, _ = batch_loss([examples[0]], mp)
     l2, _ = batch_loss([examples[0]], mp2)
