@@ -9,6 +9,7 @@ Subpackages/modules:
     prosody     -- tone/rhyme dictionaries, tonal templates, compliance checks
     generation  -- constrained beam search
     evaluation  -- keyword-referenced BLEU-1/2
+    ablation    -- cumulative ablation table of the modelling techniques, scored by BLEU
     cli         -- command line entry point
 """
 

@@ -2,7 +2,8 @@
 
 Every command writes a run manifest JSON file next to its output so a run can
 be reproduced bit-exactly from the recorded flags and seed. Machine-readable
-logs are line-JSON; the generated poem itself is plain UTF-8 text.
+logs are line-JSON, each line written by `_emit` from one report's fields; the
+generated poem itself is plain UTF-8 text.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 validation failed.
 A JSON defaults file may be pointed to by the QGEN_CONFIG environment
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import asdict, is_dataclass
 from importlib import resources
 
 import numpy as np
@@ -25,8 +27,7 @@ from .corpus import (CorpusError, Genre, build_training_sequence, build_vocab,
                      filter_poems, parse_corpus)
 from .embeddings import EmbeddingMatrix, init_embedding_matrix, train_skipgram
 from .evaluation import bleu
-from .generation import (GenerationError, GenRequest, ProsodyRules,
-                         beam_search_generate, log_records_to_jsonl)
+from .generation import GenerationError, GenRequest, ProsodyRules, beam_search_generate
 from .model import ModelConfig, ModelParams
 from .prosody import (ProsodyError, compliance_report, load_templates,
                       load_tone_dict, read_lines, templates_for)
@@ -82,6 +83,12 @@ def _manifest(args, started):
         f.write("\n")
 
 
+def _emit(record, file=None):
+    """Write one record as a flushed JSON line: a dataclass by its fields, in order."""
+    print(json.dumps(asdict(record) if is_dataclass(record) else record, ensure_ascii=False),
+          file=file, flush=True)
+
+
 def _load_rules(args):
     tone_dict = load_tone_dict(args.tone_dict) if args.tone_dict else None
     templates = load_templates(args.templates) if args.templates else []
@@ -117,10 +124,8 @@ def cmd_train(args):
     mparams = ModelParams.initialize(mcfg, pretrained_embedding=pretrained)
     tcfg = TrainConfig(epochs=args.epochs, minibatch=args.minibatch,
                        seed=args.seed, genre_mode=GenreMode(args.genre))
-    _, _, step = train(
-        examples, mparams, tcfg,
-        stop_below_loss=args.stop_below_loss,
-        log_fn=lambda r: print(r.to_json(), flush=True))
+    _, _, step = train(examples, mparams, tcfg, stop_below_loss=args.stop_below_loss,
+                       log_fn=_emit)
     save_checkpoint(args.out, mparams, None, vocab, step, args.seed)
     return EXIT_OK
 
@@ -136,17 +141,22 @@ def cmd_generate(args):
     with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log:
         poem, records = beam_search_generate(req, mparams, vocab, rules)
         if log:
-            log.write(log_records_to_jsonl(records) + "\n")
+            for rec in records:
+                _emit(rec, file=log)
     for line in poem.lines:
         print(line)
     if rules.tone_dict is not None and templates_for(rules.templates, req.genre):
-        rep = compliance_report(poem.lines, rules.tone_dict, rules.templates)
-        print(json.dumps(rep.to_dict(), ensure_ascii=False))
+        _emit(compliance_report(poem.lines, rules.tone_dict, rules.templates))
     return EXIT_OK
 
 
+def _content_lines(path):
+    """The stripped lines of a text file, blank lines and `#` comments left out."""
+    return [l for l in map(str.strip, read_lines(path)) if l and not l.startswith("#")]
+
+
 def _read_poem_lines(path):
-    raw = [l.strip() for l in read_lines(path) if l.strip() and not l.startswith("#")]
+    raw = _content_lines(path)
     if len(raw) == 1 and "|" in raw[0]:
         return [seg.strip() for seg in raw[0].split("|")]
     return raw
@@ -158,19 +168,13 @@ def cmd_validate(args):
     templates = load_templates(args.templates)
     rep = compliance_report(lines, tone_dict, templates,
                             include_line1=args.check_line1)
-    print(json.dumps(rep.to_dict(), ensure_ascii=False))
+    _emit(rep)
     return EXIT_OK if rep.compliant else EXIT_INVALID
 
 
 def _read_char_seqs(path):
     """One character sequence per non-comment line; | and spaces are ignored."""
-    seqs = []
-    for line in read_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        seqs.append([c for c in line if c != "|" and not c.isspace()])
-    return seqs
+    return [[c for c in line if c != "|" and not c.isspace()] for line in _content_lines(path)]
 
 
 def cmd_bleu(args):
@@ -181,8 +185,7 @@ def cmd_bleu(args):
                          % len(hyps))
     if not refs:
         raise ValueError("reference file %s is empty" % args.refs)
-    rep = bleu(hyps[0], refs)
-    print(json.dumps(rep.to_dict(), ensure_ascii=False))
+    _emit(bleu(hyps[0], refs))
     return EXIT_OK
 
 
@@ -195,8 +198,7 @@ def cmd_embed(args):
                          negatives=args.negatives, epochs=args.epochs,
                          seed=args.seed)
     emb.save_text(args.out)
-    print(json.dumps({"chars": len(emb.chars), "d": emb.d, "out": args.out},
-                     ensure_ascii=False))
+    _emit({"chars": len(emb.chars), "d": emb.d, "out": args.out})
     return EXIT_OK
 
 

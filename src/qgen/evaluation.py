@@ -8,7 +8,7 @@ flagged in the report.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import exp, log
 
 
@@ -16,17 +16,11 @@ from math import exp, log
 class BleuReport:
     p1: float
     p2: float
-    brevity_penalty: float
+    bp: float               # brevity penalty
     bleu: float
     hyp_len: int
     closest_ref_len: int
     zero_precision: bool = False
-
-    def to_dict(self):
-        return {"p1": self.p1, "p2": self.p2, "bp": self.brevity_penalty,
-                "bleu": self.bleu, "hyp_len": self.hyp_len,
-                "closest_ref_len": self.closest_ref_len,
-                "zero_precision": self.zero_precision}
 
 
 def _ngrams(seq, n):
@@ -73,7 +67,7 @@ def bleu(hyp, refs):
     else:
         score = 0.0
         zero = True
-    return BleuReport(p1=p1, p2=p2, brevity_penalty=bp, bleu=score,
+    return BleuReport(p1=p1, p2=p2, bp=bp, bleu=score,
                       hyp_len=len(hyp), closest_ref_len=r, zero_precision=zero)
 
 
@@ -128,7 +122,7 @@ def evaluate_keywords(generate_fn, keywords, index):
         else:
             hyp = generate_fn(kw)
             rep = bleu(hyp, refs)
-            rec.update(rep.to_dict())
+            rec.update(asdict(rep))
             scores.append(rep.bleu)
         records.append(rec)
     summary = {"keywords": len(keywords), "scored": len(scores),

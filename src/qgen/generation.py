@@ -9,7 +9,6 @@ in force is logged. The live hypotheses are the rows of one batch: one decoder
 call per position serves them all.
 """
 
-import json
 import logging
 from dataclasses import dataclass, field
 from functools import reduce
@@ -188,7 +187,3 @@ def beam_search_generate(req, mparams, vocab, rules):
                     "rhyme_group": best.rhyme_group,
                     "relaxations": best.relaxations})
     return poem, records
-
-
-def log_records_to_jsonl(records):
-    return "\n".join(json.dumps(r, ensure_ascii=False) for r in records)

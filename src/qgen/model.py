@@ -52,11 +52,6 @@ class ModelConfig:
             dim += self.d
         return dim
 
-    def to_dict(self):
-        return {"vocab_size": self.vocab_size, "d": self.d, "H": self.H,
-                "H_dec": self.H_dec, "A": self.A,
-                "use_input_attention": self.use_input_attention, "seed": self.seed}
-
 
 def make_type_indicators(seed, dim=INDICATOR_DIM, matrix=None):
     """Fixed genre indicators: unit eigenvectors of a random symmetric matrix.

@@ -71,7 +71,7 @@ def read_lines(path):
 def load_tone_dict(path):
     td = ToneDict()
     for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
+        if not line.strip() or line.strip().startswith("#"):
             continue
         parts = line.split("\t")
         if (len(parts) != 3 or len(parts[0]) != 1 or parts[0].isspace()
@@ -201,19 +201,10 @@ class ComplianceReport:
     rhyme_ok: bool = None
     rhyme_info: dict = field(default_factory=dict)
     unknown_chars: list = field(default_factory=list)
+    compliant: bool = field(init=False)
 
-    @property
-    def compliant(self):
-        return self.structure_ok and not self.tone_violations and bool(self.rhyme_ok)
-
-    def to_dict(self):
-        return {"structure_ok": self.structure_ok, "genre": self.genre,
-                "structure_error": self.structure_error,
-                "best_template": self.best_template,
-                "tone_violations": self.tone_violations,
-                "rhyme_ok": self.rhyme_ok, "rhyme_info": self.rhyme_info,
-                "unknown_chars": self.unknown_chars,
-                "compliant": self.compliant}
+    def __post_init__(self):
+        self.compliant = self.structure_ok and not self.tone_violations and bool(self.rhyme_ok)
 
 
 def compliance_report(lines, tone_dict, templates, include_line1=False):

@@ -18,13 +18,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from . import numerics as nm
-from .corpus import BOS, Genre, Vocab
+from .corpus import BOS, N_RESERVED, RESERVED, Genre, Vocab
 from .model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_recurrence, encode,
                     init_decoder_state, output_projection, param_shapes)
 
@@ -101,11 +101,7 @@ def teacher_forced_argmax(example, mparams):
 class EpochReport:
     epoch: int
     mean_loss: float
-    genre_loss: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps({"epoch": self.epoch, "mean_loss": self.mean_loss,
-                           "genre_loss": {k.name: v for k, v in self.genre_loss.items()}})
+    genre_loss: dict = field(default_factory=dict)     # genre name -> mean loss
 
 
 def _check_genre_mode(examples, mode):
@@ -161,7 +157,7 @@ def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
         nm.adadelta_step(mparams.tensors, grads, opt_state)
     return EpochReport(epoch=epoch,
                        mean_loss=total / len(examples),
-                       genre_loss={g: genre_tot[g] / genre_n[g] for g in genre_tot})
+                       genre_loss={g.name: genre_tot[g] / genre_n[g] for g in genre_tot})
 
 
 def train(examples, mparams, config, stop_below_loss=None, log_fn=None):
@@ -242,7 +238,7 @@ def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
     out["ind.7"] = mparams.indicators[Genre.SEVEN_CHAR]
     names = sorted(out)
     header = {
-        "hyper": mparams.cfg.to_dict(),
+        "hyper": asdict(mparams.cfg),
         "step": step,
         "train_seed": train_seed,
         "vocab": [[c, i, vocab.freq.get(c, 0)] for c, i in vocab.char_to_id.items()],
@@ -346,4 +342,10 @@ def load_checkpoint(path):
         raise CheckpointError("vocabulary of %d entries does not hold ids 0..%d"
                               % (len(vocab), cfg.vocab_size - 1))
     vocab.id_to_char = {idx: char for char, idx in vocab.char_to_id.items()}
+    chars = [vocab.id_to_char[i] for i in range(len(vocab))]
+    if chars[:N_RESERVED] != list(RESERVED) or any(len(c) != 1 or c.isspace()
+                                                   for c in chars[N_RESERVED:]):
+        raise CheckpointError("bad vocabulary in header: ids 0..%d must hold %s, and every "
+                              "other id one non-whitespace character"
+                              % (N_RESERVED - 1, " ".join(RESERVED)))
     return mparams, None, vocab, header["step"], header["train_seed"]

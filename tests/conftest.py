@@ -54,6 +54,11 @@ BAD_HEADERS = {
     "short vocabulary": (lambda h: {**h, "vocab": h["vocab"][:-1]}, "vocabulary"),
     "non-string character": (lambda h: {**h, "vocab": [[12345, *h["vocab"][-1][1:]]]
                                          + h["vocab"][:-1]}, "vocabulary"),
+    "reserved token moved": (lambda h: {**h, "vocab": [[c, {0: 5, 5: 0}.get(i, i), n]
+                                                       for c, i, n in h["vocab"]]},
+                             "vocabulary"),
+    "multi-character entry": (lambda h: {**h, "vocab": h["vocab"][:-1]
+                                          + [["白日", *h["vocab"][-1][1:]]]}, "vocabulary"),
 }
 
 

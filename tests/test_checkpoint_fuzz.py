@@ -5,6 +5,8 @@ arbitrary JSON value in any field, hyper key or vocabulary slot, either
 raises CheckpointError or loads a vocabulary of str characters and int ids.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -34,7 +36,7 @@ json_values = st.recursive(
                                                                 inner, max_size=3),
     max_leaves=6)
 
-HYPER_KEYS = tuple(ModelConfig(vocab_size=1).to_dict())
+HYPER_KEYS = tuple(asdict(ModelConfig(vocab_size=1)))
 
 
 def _set(path, value):

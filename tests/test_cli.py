@@ -13,6 +13,10 @@ import pytest
 import qgen
 from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_header
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from qgen.corpus import Genre
+from qgen.generation import GenRequest, ProsodyRules, beam_search_generate
+from qgen.prosody import load_templates, load_tone_dict
+from qgen.training import load_checkpoint
 
 FIVE = "月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
 SPACED = "月黑 飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
@@ -45,7 +49,7 @@ def test_train_writes_checkpoint_and_manifest(workdir, capsys):
     assert (workdir / "m.ckpt").exists()
     lines = capsys.readouterr().out.strip().splitlines()
     report = json.loads(lines[0])
-    assert {"epoch", "mean_loss", "genre_loss"} <= set(report)
+    assert list(report) == ["epoch", "mean_loss", "genre_loss"]
     manifest = json.loads((workdir / "train.manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["seeds"]["seed"] == 0
@@ -125,6 +129,18 @@ def test_generate_deterministic_stdout(workdir, trained, capsys):
     assert report["structure_ok"]
     assert (workdir / "gen.jsonl").exists()
     assert (workdir / "generate.manifest.json").exists()
+
+
+def test_generate_log_holds_the_search_records(workdir, trained):
+    assert main(["generate", "--checkpoint", trained, "--keywords", "月黑雁飞高",
+                 "--genre", "7", "--beam", "3", "--seed", "2", "--log", "gen.jsonl"]) == EXIT_OK
+    mparams, _, vocab, _, _ = load_checkpoint(trained)
+    rules = ProsodyRules(load_tone_dict(data_path("tone_dict.tsv")),
+                         load_templates(data_path("templates.txt")))
+    req = GenRequest(keywords="月黑雁飞高", genre=Genre.SEVEN_CHAR, beam_width=3, seed=2)
+    _, records = beam_search_generate(req, mparams, vocab, rules)
+    lines = (workdir / "gen.jsonl").read_text(encoding="utf-8").split("\n")
+    assert lines == [json.dumps(r, ensure_ascii=False) for r in records] + [""]
 
 
 def test_generate_unwritable_log_prints_no_poem(workdir, trained, capsys):
@@ -209,10 +225,15 @@ def test_generate_malformed_checkpoint_is_one_line_failure(workdir, trained, cap
 
 
 def test_validate_compliant_poem(workdir, capsys):
-    (workdir / "poem.txt").write_text(FIVE + "\n", encoding="utf-8")
+    # an indented comment is a comment, as in the corpus and the bleu inputs
+    (workdir / "poem.txt").write_text("  # a note\n" + FIVE.replace("|", "\n") + "\n",
+                                      encoding="utf-8")
     assert main(["validate", "--poem", "poem.txt"]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["compliant"] and report["best_template"] == "wu_1"
+    assert list(report) == ["structure_ok", "genre", "structure_error", "best_template",
+                            "tone_violations", "rhyme_ok", "rhyme_info", "unknown_chars",
+                            "compliant"]
 
 
 def test_validate_structure_error_exits_3(workdir, capsys):
@@ -270,6 +291,8 @@ def test_bleu_fixture(workdir, capsys):
     report = json.loads(capsys.readouterr().out)
     assert abs(report["bleu"] - 0.7071067811865475) < 1e-12
     assert report["p1"] == 0.75
+    assert list(report) == ["p1", "p2", "bp", "bleu", "hyp_len", "closest_ref_len",
+                            "zero_precision"]
 
 
 def test_bleu_empty_hypothesis_scores_zero(workdir, capsys):
@@ -297,6 +320,7 @@ def test_embed_and_reuse(workdir, capsys):
     assert main(["embed", "--corpus", "c.txt", "--out", "emb.txt",
                  "--d", "8", "--window", "2", "--negatives", "2"]) == EXIT_OK
     info = json.loads(capsys.readouterr().out)
+    assert list(info) == ["chars", "d", "out"]
     assert info["d"] == 8 and info["chars"] > 0
     assert (workdir / "emb.txt").exists()
     code = main(["train", "--corpus", "c.txt", "--genre", "5", "--epochs", "1",

@@ -55,7 +55,7 @@ def test_fixture_aabb_abbc():
     rep = bleu(list("AABB"), [list("ABBC")])
     assert isclose(rep.p1, 3 / 4, abs_tol=1e-15)
     assert isclose(rep.p2, 2 / 3, abs_tol=1e-15)
-    assert rep.brevity_penalty == 1.0
+    assert rep.bp == 1.0
     assert isclose(rep.bleu, sqrt(0.5), abs_tol=1e-15)
 
 

@@ -1,6 +1,7 @@
 """Tonal templates, rhyme groups, and the compliance report."""
 
 import logging
+from dataclasses import asdict
 
 import pytest
 
@@ -60,7 +61,7 @@ def test_loaders_name_path_of_unreadable_file(tmp_path, loader):
 
 def test_tone_dict_duplicate_last_wins(tmp_path, caplog):
     p = tmp_path / "dup.tsv"
-    p.write_text("月\tZ\tie\n月\tP\tan\n", encoding="utf-8")
+    p.write_text("  # an indented comment\n月\tZ\tie\n月\tP\tan\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         td = load_tone_dict(str(p))
     assert "duplicate" in caplog.text
@@ -153,8 +154,7 @@ def test_compliance_report(tone_dict, templates):
     assert rep.best_template == "wu_1"
     assert rep.genre == "FIVE_CHAR"
     assert rep.unknown_chars == []
-    d = rep.to_dict()
-    assert d["compliant"] is True
+    assert asdict(rep)["compliant"] is True
 
     bad = compliance_report(POEM[:3] + ["大雪满弓"], tone_dict, templates)
     assert not bad.structure_ok and not bad.compliant

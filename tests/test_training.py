@@ -143,7 +143,7 @@ def test_train_epoch_reduces_loss(setup):
     opt, reports, step = train(examples, mp, tcfg)
     assert step == 30
     assert reports[-1].mean_loss < reports[0].mean_loss
-    assert set(reports[0].genre_loss) == {Genre.FIVE_CHAR, Genre.SEVEN_CHAR}
+    assert set(reports[0].genre_loss) == {"FIVE_CHAR", "SEVEN_CHAR"}
 
 
 def test_train_stop_below_loss(setup):
@@ -213,7 +213,7 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     mp2, opt2, vocab2, step2, seed2 = load_checkpoint(path)
     assert opt2 is None
     assert (step2, seed2) == (step, 4)
-    assert mp2.cfg.to_dict() == cfg.to_dict()
+    assert mp2.cfg == cfg
     assert vocab2.char_to_id == vocab.char_to_id
     for name in mp.tensors:
         np.testing.assert_array_equal(mp2.tensors[name], mp.tensors[name])
