@@ -89,6 +89,15 @@ def _emit(record, file=None):
           file=file, flush=True)
 
 
+def _check_writable(path):
+    """Fail now, with open()'s own error, if `path` could not be written after
+    training; the empty file this may create is removed again."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _load_rules(args):
     tone_dict = load_tone_dict(args.tone_dict) if args.tone_dict else None
     templates = load_templates(args.templates) if args.templates else []
@@ -100,6 +109,7 @@ def _load_rules(args):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
+    _check_writable(args.out)
     genre_filter = GENRES.get(args.genre)
     report = parse_corpus(args.corpus, genre_filter=genre_filter)
     if report.rejected:
@@ -190,6 +200,7 @@ def cmd_bleu(args):
 
 
 def cmd_embed(args):
+    _check_writable(args.out)
     report = parse_corpus(args.corpus)
     if not report.poems:
         raise CorpusError("corpus %s yielded no poems" % args.corpus)

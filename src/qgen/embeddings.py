@@ -5,6 +5,7 @@ injected as the initial embedding matrix of the attention model. The reference
 implementation is single threaded and bit-reproducible under a fixed seed.
 """
 
+import math
 from itertools import groupby
 from operator import itemgetter
 
@@ -43,8 +44,9 @@ class EmbeddingMatrix:
     @classmethod
     def load_text(cls, path):
         """Read a `save_text` file; a malformed one raises ValueError naming
-        the path and line."""
-        chars, rows, lineno = [], [], 1
+        the path and line. A non-finite value or a character given a second
+        row is malformed."""
+        line_of, rows, lineno = {}, [], 1
         try:
             with open(path, encoding="utf-8") as f:
                 lines = f.read().rstrip("\n").split("\n")
@@ -55,14 +57,20 @@ class EmbeddingMatrix:
                 char, *vec = line.split(" ")
                 if len(vec) != d:
                     raise ValueError("%d values, expected %d" % (len(vec), d))
-                chars.append(char)
-                rows.append([float(x) for x in vec])
+                row = [float(x) for x in vec]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("non-finite value")
+                if char in line_of:
+                    raise ValueError("character %r already has a row on line %d"
+                                     % (char, line_of[char]))
+                line_of[char] = lineno
+                rows.append(row)
             if len(rows) < n:
                 lineno = len(lines) + 1
                 raise ValueError("file ends after %d of %d rows" % (len(rows), n))
         except ValueError as e:
             raise ValueError("embeddings %s line %d: %s" % (path, lineno, e)) from e
-        return cls(chars, np.array(rows))
+        return cls(line_of, np.array(rows))
 
 
 def skipgram_pairs(chars, window):
@@ -84,16 +92,18 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def pair_loss(u, v, v_negs):
-    """-ln s(u.v) - sum_k ln s(-u.v_k) for one (center, context) pair."""
-    return -np.log(_sigmoid(u @ v)) - np.log(_sigmoid(-(v_negs @ u))).sum()
+def pair_loss(u, rows):
+    """-ln s(u.rows[0]) - sum_k ln s(-u.rows[k]) for one (center, context) pair:
+    rows[0] is the context's output row and rows[1:] the k negatives'."""
+    s = rows @ u
+    return -np.log(_sigmoid(s[0])) - np.log(_sigmoid(-s[1:])).sum()
 
 
-def pair_loss_grads(u, v, v_negs):
-    """Analytic gradients of pair_loss w.r.t. u, v and the (k, d) negatives."""
-    gpos = _sigmoid(u @ v) - 1.0
-    gneg = _sigmoid(v_negs @ u)
-    return gpos * v + gneg @ v_negs, gpos * u, gneg[:, None] * u
+def pair_loss_grads(u, rows):
+    """Analytic gradients of pair_loss w.r.t. u and the (k+1, d) rows."""
+    g = _sigmoid(rows @ u)
+    g[0] -= 1.0
+    return g @ rows, g[:, None] * u
 
 
 def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0):
@@ -101,10 +111,16 @@ def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0)
 
     Plain SGD at a fixed learning rate over all (center, context) pairs;
     negatives are drawn from the unigram^0.75 distribution, in one draw per
-    center for all of its pairs. Each pair updates its context row, then
-    its negative rows once per draw, then the center's input row.
-    Deterministic given the seed. Returns an EmbeddingMatrix of the input
-    vectors.
+    center for all of its pairs, by a search of the distribution's CDF, which
+    is built once per run (the draw `Generator.choice` makes, without its
+    per-call cumsum). Each pair takes its gradients from its rows as they
+    were before the pair, then updates its context row, its negative rows
+    once per draw and the center's input row. The context and negative rows
+    are gathered and scattered back in one step each; a pair whose rows
+    repeat one (a negative drawn twice, or the context drawn as a negative)
+    scatters with `np.subtract.at` instead, which applies its updates in
+    turn. Deterministic given the seed. Returns an EmbeddingMatrix of the
+    input vectors.
     """
     if window < 1 or negatives < 1 or d < 2 or epochs < 1:
         raise ValueError("window >= 1, negatives >= 1, d >= 2, epochs >= 1 required")
@@ -119,7 +135,8 @@ def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0)
             order.append(c)
     ids = np.array([index[c] for c in chars], dtype=np.intp)
     freqs = np.bincount(ids, minlength=len(order))
-    neg_p = negative_sampling_table(freqs)
+    cdf = negative_sampling_table(freqs).cumsum()
+    cdf /= cdf[-1]
 
     rng = np.random.Generator(np.random.PCG64(seed))
     V = len(order)
@@ -129,12 +146,20 @@ def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0)
     for _ in range(epochs):
         for i, pairs in groupby(skipgram_pairs(ids, window), key=itemgetter(0)):
             contexts = ids[[j for _, j in pairs]]
-            draws = rng.choice(V, size=(len(contexts), negatives), p=neg_p)
+            idx = np.empty((len(contexts), negatives + 1), dtype=np.intp)
+            idx[:, 0] = contexts
+            idx[:, 1:] = cdf.searchsorted(rng.random((len(contexts), negatives)),
+                                          side="right")
+            srt = np.sort(idx, axis=1)
+            repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1).tolist()
             u = vec_in[ids[i]]          # a view: `u -=` updates the center's row
-            for ctx, negs in zip(contexts, draws):
-                du, dv, dnegs = pair_loss_grads(u, vec_out[ctx], vec_out[negs])
-                vec_out[ctx] -= SGD_LR * dv
-                np.subtract.at(vec_out, negs, SGD_LR * dnegs)
+            for row_ids, repeat in zip(idx, repeats):
+                rows = vec_out[row_ids]
+                du, drows = pair_loss_grads(u, rows)
+                if repeat:              # one update per occurrence, in draw order
+                    np.subtract.at(vec_out, row_ids, SGD_LR * drows)
+                else:
+                    vec_out[row_ids] = rows - SGD_LR * drows
                 u -= SGD_LR * du
     return EmbeddingMatrix(order, vec_in)
 

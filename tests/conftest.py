@@ -69,6 +69,9 @@ BAD_EMBEDDINGS = {
     "truncated": ("3 2\na 0.5 0.25\n", "line 3"),
     "wrong width": ("2 2\na 0.5 0.25\nb 0.5\n", "line 3"),
     "not a number": ("1 2\na 0.5 x\n", "line 2"),
+    "nan value": ("2 2\na 0.5 0.25\nb nan 0.5\n", "line 3"),
+    "infinite value": ("1 2\na -inf 0.5\n", "line 2"),
+    "repeated character": ("3 2\na 0.5 0.25\nb 0.5 0.5\na 0.25 0.5\n", "line 4"),
 }
 
 

@@ -116,6 +116,26 @@ def test_train_malformed_embeddings_is_one_line_failure(workdir, capsys, case):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, trainer", [("train", "train"), ("embed", "train_skipgram")])
+def test_unwritable_out_fails_before_training(workdir, capsys, monkeypatch, command, trainer):
+    monkeypatch.setattr("qgen.cli." + trainer,
+                        lambda *a, **k: pytest.fail("trained despite an unwritable --out"))
+    code = main([command, "--corpus", data_path("overfit_corpus.txt"), "--d", "8",
+                 "--epochs", "1", "--out", "nodir/out.txt"])
+    assert code == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qgen: ") and "nodir/out.txt" in err and len(err.splitlines()) == 1
+    assert os.listdir(workdir) == []
+
+
+def test_failed_embed_keeps_the_previous_out(workdir):
+    (workdir / "emb.txt").write_text("previous\n", encoding="utf-8")
+    assert main(["embed", "--corpus", data_path("overfit_corpus.txt"), "--epochs", "0",
+                 "--out", "emb.txt"]) == EXIT_FAILURE
+    assert (workdir / "emb.txt").read_text(encoding="utf-8") == "previous\n"
+
+
 def test_generate_deterministic_stdout(workdir, trained, capsys):
     argv = ["generate", "--checkpoint", trained, "--keywords", "月黑雁飞高",
             "--genre", "5", "--beam", "2", "--seed", "3", "--log", "gen.jsonl"]

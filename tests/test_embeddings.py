@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import BAD_EMBEDDINGS, data_path
+from qgen import embeddings
 from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab, parse_corpus
 from qgen.embeddings import (SGD_LR, EmbeddingMatrix, init_embedding_matrix,
                              negative_sampling_table, pair_loss,
@@ -63,25 +64,24 @@ def test_pair_loss_grads_match_finite_differences():
     h = 1e-6
     for trial in range(20):
         d = 5
-        u, v = rng.normal(size=d), rng.normal(size=d)
-        negs = [rng.normal(size=d) for _ in range(3)]
-        if trial % 2:                       # negatives as a (k, d) array
-            negs = np.array(negs)
-        du, dv, dnegs = pair_loss_grads(u, v, negs)
+        u = rng.normal(size=d)
+        rows = [rng.normal(size=d) for _ in range(4)]    # the context, then 3 negatives
+        if trial % 2:                       # rows as a (k+1, d) array
+            rows = np.array(rows)
+        du, drows = pair_loss_grads(u, rows)
 
         def fd(vec, grad):
             for i in range(d):
                 orig = vec[i]
                 vec[i] = orig + h
-                fp = pair_loss(u, v, negs)
+                fp = pair_loss(u, rows)
                 vec[i] = orig - h
-                fm = pair_loss(u, v, negs)
+                fm = pair_loss(u, rows)
                 vec[i] = orig
                 assert abs(grad[i] - (fp - fm) / (2 * h)) < 1e-5
         fd(u, du)
-        fd(v, dv)
-        for vn, dn in zip(negs, dnegs):
-            fd(vn, dn)
+        for row, drow in zip(rows, drows):
+            fd(row, drow)
 
 
 @pytest.mark.parametrize("stream, window, negatives", [
@@ -96,6 +96,20 @@ def test_training_matches_per_pair_reference(stream, window, negatives):
                          epochs=2, seed=3)
     assert got.chars == order
     np.testing.assert_allclose(got.matrix, expect, rtol=1e-10, atol=1e-12)
+
+
+def test_training_calls_the_pair_kernel_once_per_pair(monkeypatch):
+    """The benchmark's tracer counts pairs as calls of this module attribute."""
+    calls = []
+    kernel = embeddings.pair_loss_grads
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+    monkeypatch.setattr(embeddings, "pair_loss_grads", counted)
+    stream = list("白日依山尽黄河入海流" * 3)
+    train_skipgram(stream, window=3, d=4, negatives=2, epochs=2, seed=0)
+    assert len(calls) == 2 * len(list(skipgram_pairs(stream, 3)))
 
 
 def test_training_deterministic():
