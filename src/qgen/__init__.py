@@ -3,7 +3,7 @@
 Subpackages/modules:
     numerics    -- tape-based reverse-mode autodiff over numpy, AdaDelta, grad checks
     corpus      -- poem parsing, vocabulary, training sequence construction
-    embeddings  -- skip-gram character vector pretraining
+    embeddings  -- skip-gram character vector pretraining, copied over the model's embedding
     model       -- bi-GRU encoder, GRU decoder, dual attention, genre indicators
     training    -- teacher-forced training loop, checkpoints
     prosody     -- tone/rhyme dictionaries, tonal templates, compliance checks

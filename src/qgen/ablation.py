@@ -10,7 +10,7 @@ numbers it emits on desk-scale corpora carry no claim beyond being finite.
 from dataclasses import dataclass
 
 from .corpus import Genre, build_training_sequence, build_vocab
-from .embeddings import init_embedding_matrix, train_skipgram
+from .embeddings import train_skipgram
 from .evaluation import ReferenceIndex, evaluate_keywords
 from .generation import GenRequest, ProsodyRules, beam_search_generate
 from .model import ModelConfig, ModelParams
@@ -41,12 +41,11 @@ def _train_model(train_poems, vocab, ab, genre_mode, d, H, H_dec, epochs, seed):
                 for p in train_poems]
     cfg = ModelConfig(vocab_size=len(vocab), d=d, H=H, H_dec=H_dec,
                       use_input_attention=ab.input_attention, seed=seed)
-    pretrained_emb = None
+    mparams = ModelParams.initialize(cfg)
     if ab.pretrain:
         stream = [c for p in train_poems for c in p.chars()]
         sg = train_skipgram(stream, window=2, d=d, negatives=2, epochs=1, seed=seed)
-        pretrained_emb = init_embedding_matrix(sg, vocab, d, seed=seed)
-    mparams = ModelParams.initialize(cfg, pretrained_embedding=pretrained_emb)
+        sg.copy_into(mparams.tensors["emb"], vocab)
     tc = TrainConfig(epochs=epochs, minibatch=8, seed=seed, genre_mode=genre_mode)
     train(examples, mparams, tc)
     return mparams

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .corpus import (CorpusError, Genre, build_training_sequence, build_vocab,
                      filter_poems, parse_corpus)
-from .embeddings import EmbeddingMatrix, init_embedding_matrix, train_skipgram
+from .embeddings import EmbeddingMatrix, train_skipgram
 from .evaluation import bleu
 from .generation import GenerationError, GenRequest, ProsodyRules, beam_search_generate
 from .model import ModelConfig, ModelParams
@@ -123,15 +123,14 @@ def cmd_train(args):
     examples = [build_training_sequence(p, vocab, echo=not args.no_echo)
                 for p in poems]
 
-    pretrained = None
-    if args.pretrained_embeddings:
-        emb = EmbeddingMatrix.load_text(args.pretrained_embeddings)
-        pretrained = init_embedding_matrix(emb, vocab, args.d, seed=args.seed)
     mcfg = ModelConfig(vocab_size=len(vocab), d=args.d, H=args.H,
                        H_dec=args.H_dec,
                        use_input_attention=not args.no_input_attention,
                        seed=args.seed)
-    mparams = ModelParams.initialize(mcfg, pretrained_embedding=pretrained)
+    mparams = ModelParams.initialize(mcfg)
+    if args.pretrained_embeddings:
+        emb = EmbeddingMatrix.load_text(args.pretrained_embeddings)
+        emb.copy_into(mparams.tensors["emb"], vocab)
     tcfg = TrainConfig(epochs=args.epochs, minibatch=args.minibatch,
                        seed=args.seed, genre_mode=GenreMode(args.genre))
     _, _, step = train(examples, mparams, tcfg, stop_below_loss=args.stop_below_loss,

@@ -67,6 +67,8 @@ def parse_corpus(path, genre_filter=None):
     """Parse a corpus file. Malformed records are skipped and counted.
 
     Returns a ParseReport; poems keep 1-based record numbers as source ids.
+    Records end at line feeds only: unlike `str.splitlines`, a U+2028 or a
+    form feed inside a record does not start another.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -74,7 +76,7 @@ def parse_corpus(path, genre_filter=None):
     except (OSError, UnicodeDecodeError) as e:
         raise CorpusError("cannot read corpus %s: %s" % (path, e)) from e
     report = ParseReport(poems=[])
-    for lineno, record in enumerate(raw.splitlines(), start=1):
+    for lineno, record in enumerate(raw.split("\n"), start=1):
         record = record.strip()
         if not record or record.startswith("#"):
             continue

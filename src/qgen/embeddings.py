@@ -1,8 +1,9 @@
 """Skip-gram character vectors with negative sampling.
 
 Pretrained on a plain character stream (poems flattened in corpus order) and
-injected as the initial embedding matrix of the attention model. The reference
-implementation is single threaded and bit-reproducible under a fixed seed.
+copied over the rows of the attention model's seeded embedding draw. The
+reference implementation is single threaded and bit-reproducible under a fixed
+seed.
 """
 
 import math
@@ -12,7 +13,6 @@ from operator import itemgetter
 import numpy as np
 
 from .corpus import N_RESERVED
-from .model import INIT_RANGE
 
 SGD_LR = 0.025
 
@@ -35,6 +35,18 @@ class EmbeddingMatrix:
     def vector(self, char):
         return self.matrix[self.row[char]]
 
+    def copy_into(self, emb, vocab):
+        """Overwrite in place the rows of a model's (V, d) embedding `emb` whose
+        vocabulary character has a vector here. Reserved tokens and characters
+        without a vector keep their rows; vectors of characters outside the
+        vocabulary are unused."""
+        if self.d != emb.shape[1]:
+            raise ValueError("pretrained dimension %d != model dimension %d"
+                             % (self.d, emb.shape[1]))
+        for char, idx in vocab.char_to_id.items():
+            if idx >= N_RESERVED and char in self.row:
+                emb[idx] = self.vector(char)
+
     def save_text(self, path):
         with open(path, "w", encoding="utf-8") as f:
             f.write("%d %d\n" % (len(self.chars), self.d))
@@ -44,17 +56,20 @@ class EmbeddingMatrix:
     @classmethod
     def load_text(cls, path):
         """Read a `save_text` file; a malformed one raises ValueError naming
-        the path and line. A non-finite value or a character given a second
-        row is malformed."""
+        the path and line. A non-finite value, a character given a second
+        row, a row past the declared count or a byte that is not UTF-8 is
+        malformed."""
         line_of, rows, lineno = {}, [], 1
         try:
-            with open(path, encoding="utf-8") as f:
-                lines = f.read().rstrip("\n").split("\n")
-            n, d = (int(x) for x in lines[0].split())
+            with open(path, "rb") as f:     # lines decode one by one, so a bad byte names its own
+                lines = f.read().rstrip(b"\n").split(b"\n")
+            n, d = (int(x) for x in lines[0].decode("utf-8").split())
             if n < 1 or d < 1:
                 raise ValueError("row count and dimension must be positive")
-            for lineno, line in enumerate(lines[1:n + 1], start=2):
-                char, *vec = line.split(" ")
+            for lineno, line in enumerate(lines[1:], start=2):
+                if lineno > n + 1:
+                    raise ValueError("row past the declared count of %d" % n)
+                char, *vec = line.decode("utf-8").split(" ")
                 if len(vec) != d:
                     raise ValueError("%d values, expected %d" % (len(vec), d))
                 row = [float(x) for x in vec]
@@ -162,23 +177,3 @@ def train_skipgram(corpus_chars, window=5, d=128, negatives=5, epochs=1, seed=0)
                     vec_out[row_ids] = rows - SGD_LR * drows
                 u -= SGD_LR * du
     return EmbeddingMatrix(order, vec_in)
-
-
-def init_embedding_matrix(pretrained, model_vocab, d, seed=0):
-    """Build the model's V x d embedding init from pretrained vectors.
-
-    Rows for characters found in the pretraining vocab are copied; reserved
-    tokens and missing characters are drawn uniform in [-INIT_RANGE,
-    INIT_RANGE] from the seed.
-    """
-    if pretrained is not None and pretrained.d != d:
-        raise ValueError("pretrained dimension %d != model dimension %d"
-                         % (pretrained.d, d))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    V = len(model_vocab)
-    mat = rng.uniform(-INIT_RANGE, INIT_RANGE, size=(V, d))
-    if pretrained is not None:
-        for char, idx in model_vocab.char_to_id.items():
-            if idx >= N_RESERVED and char in pretrained.row:
-                mat[idx] = pretrained.vector(char)
-    return mat

@@ -119,17 +119,11 @@ class ModelParams:
         self.indicators = indicators
 
     @classmethod
-    def initialize(cls, cfg, pretrained_embedding=None):
+    def initialize(cls, cfg):
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         tensors = {}
         for name, shape in param_shapes(cfg).items():
             tensors[name] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape)
-        if pretrained_embedding is not None:
-            emb = np.asarray(pretrained_embedding, dtype=np.float64)
-            if emb.shape != tensors["emb"].shape:
-                raise nm.ShapeError("pretrained embedding %s != expected %s"
-                                    % (emb.shape, tensors["emb"].shape))
-            tensors["emb"] = emb.copy()
         indicators = make_type_indicators(cfg.seed)
         return cls(cfg, tensors, indicators)
 

@@ -72,6 +72,7 @@ BAD_EMBEDDINGS = {
     "nan value": ("2 2\na 0.5 0.25\nb nan 0.5\n", "line 3"),
     "infinite value": ("1 2\na -inf 0.5\n", "line 2"),
     "repeated character": ("3 2\na 0.5 0.25\nb 0.5 0.5\na 0.25 0.5\n", "line 4"),
+    "rows past the count": ("1 2\na 0.5 0.25\nb 0.5 0.5\n", "line 3"),
 }
 
 

@@ -27,6 +27,16 @@ def test_parse_both_genres(tmp_path):
     assert len(report.poems[0].chars()) == 20
 
 
+def test_record_numbers_count_line_feeds_only(tmp_path):
+    # str.splitlines would also end a record at U+2028 or a form feed
+    text = "\n".join([FIVE, FIVE.replace("|", "\u2028", 1), FIVE.replace("|", "\f", 1),
+                      SEVEN]) + "\n"
+    report = parse_corpus(write_corpus(tmp_path, text))
+    assert report.rejected == 2
+    assert [r.split(":")[0] for r in report.reasons] == ["record 2", "record 3"]
+    assert [p.source_id for p in report.poems] == ["1", "4"]
+
+
 def test_parse_rejects_malformed_records(tmp_path):
     bad = ["一二三四五|六七八九十|短行|千里江陵一日还",   # mixed lengths
            "一二三四五|六七八九十",                        # 2 lines

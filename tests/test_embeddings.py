@@ -6,7 +6,8 @@ import pytest
 from conftest import BAD_EMBEDDINGS, data_path
 from qgen import embeddings
 from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab, parse_corpus
-from qgen.embeddings import (SGD_LR, EmbeddingMatrix, init_embedding_matrix,
+from qgen.model import ModelConfig, ModelParams
+from qgen.embeddings import (SGD_LR, EmbeddingMatrix,
                              negative_sampling_table, pair_loss,
                              pair_loss_grads, skipgram_pairs, train_skipgram)
 
@@ -142,19 +143,47 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.matrix, emb.matrix)
 
 
-def test_init_embedding_matrix_copies_pretrained_rows():
+def test_copy_into_copies_pretrained_rows():
     poems = [Poem(Genre.FIVE_CHAR, ["白日依山尽", "黄河入海流",
                                     "欲穷千里目", "更上一层楼"])]
     vocab = build_vocab(poems)
     stream = [c for p in poems for c in p.chars()]
     emb = train_skipgram(stream, window=2, d=6, negatives=2, seed=0)
-    mat = init_embedding_matrix(emb, vocab, 6, seed=1)
-    assert mat.shape == (len(vocab), 6)
+    mat = ModelParams.initialize(ModelConfig(vocab_size=len(vocab), d=6, seed=1)).tensors["emb"]
+    emb.copy_into(mat, vocab)
     np.testing.assert_array_equal(mat[vocab.id("白")], emb.vector("白"))
     # reserved rows come from the seeded init, inside the init range
     assert np.all(np.abs(mat[:N_RESERVED]) <= 0.08)
-    with pytest.raises(ValueError):
-        init_embedding_matrix(emb, vocab, 7, seed=1)
+    with pytest.raises(ValueError, match="pretrained dimension 6 != model dimension 7"):
+        emb.copy_into(np.zeros((len(vocab), 7)), vocab)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_copy_into_changes_only_rows_with_a_vector(seed):
+    """Every other tensor, every reserved row and every row of a character
+    without a vector keep the plain seeded draw."""
+    vocab = build_vocab([Poem(Genre.FIVE_CHAR, ["白日依山尽", "黄河入海流",
+                                                "欲穷千里目", "更上一层楼"])])
+    cfg = ModelConfig(vocab_size=len(vocab), d=3, H=2, H_dec=2, seed=seed)
+    rng = np.random.default_rng(seed)
+    in_vocab = [c for c, i in vocab.char_to_id.items() if i >= N_RESERVED]
+    # outside the init range, so a copied row cannot pass for a drawn one
+    chars = ["<unk>", "<pad>", "雁", "鸿"] + list(rng.choice(in_vocab, 8, replace=False))
+    vectors = EmbeddingMatrix(chars, 1.0 + rng.random((len(chars), 3)))
+    plain = ModelParams.initialize(cfg)
+    mp = ModelParams.initialize(cfg)
+    vectors.copy_into(mp.tensors["emb"], vocab)
+    for name, tensor in plain.tensors.items():
+        if name != "emb":
+            np.testing.assert_array_equal(mp.tensors[name], tensor, err_msg=name)
+    emb, drawn = mp.tensors["emb"], plain.tensors["emb"]
+    copied = {vocab.id(c) for c in chars[4:]}
+    for idx in range(len(vocab)):
+        if idx in copied:
+            np.testing.assert_array_equal(emb[idx], vectors.vector(vocab.char(idx)))
+        else:
+            np.testing.assert_array_equal(emb[idx], drawn[idx])
+    assert len(copied) == 8 and min(copied) >= N_RESERVED
 
 
 def test_embedding_matrix_validation_and_args():
@@ -174,4 +203,11 @@ def test_load_text_names_path_and_line(tmp_path, case):
     path = tmp_path / "emb.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="emb.txt %s:" % line):
+        EmbeddingMatrix.load_text(str(path))
+
+
+def test_load_text_names_the_line_of_a_bad_byte(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes("3 2\na 0.5 0.25\n雁 0.5 0.5\n".encode("utf-8") + b"\xff 0.25 0.5\n")
+    with pytest.raises(ValueError, match="emb.txt line 4: 'utf-8' codec can't decode"):
         EmbeddingMatrix.load_text(str(path))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qgen import numerics as nm
-from qgen.corpus import Genre
+from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab
+from qgen.embeddings import EmbeddingMatrix
 from qgen.model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_step,
                         encode, init_decoder_state, make_type_indicators,
                         param_shapes)
@@ -60,13 +61,17 @@ def test_param_shapes_match_initialized_tensors():
     assert cfg2.dec_input_dim == cfg.dec_input_dim - cfg.d
 
 
-def test_pretrained_embedding_is_used():
-    cfg = ModelConfig(vocab_size=9, d=4, H=3, H_dec=5, seed=1)
-    emb = np.arange(36, dtype=np.float64).reshape(9, 4)
-    mp = ModelParams.initialize(cfg, pretrained_embedding=emb)
-    np.testing.assert_array_equal(mp.tensors["emb"], emb)
-    with pytest.raises(nm.ShapeError):
-        ModelParams.initialize(cfg, pretrained_embedding=np.zeros((9, 5)))
+def test_pretrained_vectors_are_used():
+    vocab = build_vocab([Poem(Genre.FIVE_CHAR, ["白日依山尽", "黄河入海流",
+                                                "欲穷千里目", "更上一层楼"])])
+    cfg = ModelConfig(vocab_size=len(vocab), d=4, H=3, H_dec=5, seed=1)
+    chars = [c for c, i in vocab.char_to_id.items() if i >= N_RESERVED]
+    vectors = EmbeddingMatrix(chars, np.arange(4.0 * len(chars)).reshape(-1, 4))
+    mp = ModelParams.initialize(cfg)
+    vectors.copy_into(mp.tensors["emb"], vocab)
+    np.testing.assert_array_equal(mp.tensors["emb"][N_RESERVED:], vectors.matrix)
+    with pytest.raises(ValueError, match="pretrained dimension 4 != model dimension 5"):
+        vectors.copy_into(np.zeros((len(vocab), 5)), vocab)
 
 
 def test_encoder_reversal_symmetry():
