@@ -44,6 +44,19 @@ class GenRequest:
 class ProsodyRules:
     tone_dict: object
     templates: list
+    _table: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def vocab_table(self, vocab):
+        """`tone_dict.tables` of the vocabulary's characters in id order.
+
+        Built once per tone dictionary and vocabulary and kept for the next
+        request; neither may change once generation has read it.
+        """
+        td, built_for, table = self._table or (None, None, None)
+        if td is not self.tone_dict or built_for is not vocab:
+            table = self.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
+            self._table = (self.tone_dict, vocab, table)
+        return table
 
 
 class GenerationError(Exception):
@@ -84,7 +97,7 @@ def constraint_mask(line, pos, dist, table, template, rhyme_group,
     dropped, and then the uniform "model" fallback; every relaxation of a rule
     in force is returned. Separator steps never come here: the beam emits SEP.
     """
-    p = np.asarray(dist, dtype=np.float64).copy()
+    p = np.array(dist, dtype=np.float64)       # a float64 copy, so scores sum in float64
     p[:N_RESERVED] = 0.0
     in_force = []                       # (rule, 0/1 mask), in the order they are dropped
     if rhyme_on and pos == genre.value - 1 and line in (1, 3):
@@ -107,6 +120,13 @@ def constraint_mask(line, pos, dist, table, template, rhyme_group,
     return masked / masked.sum(), relaxations
 
 
+def _logged_weights(alpha):
+    """Attention weights for a step record, to 6 decimals. They are rounded in
+    float64: a float32 weight rounded to 6 decimals is no 6-decimal float once
+    `.tolist()` widens it."""
+    return None if alpha is None else np.round(alpha.astype(np.float64, copy=False), 6).tolist()
+
+
 def beam_search_generate(req, mparams, vocab, rules):
     """Generate one quatrain. Returns (Poem, log_records).
 
@@ -120,9 +140,7 @@ def beam_search_generate(req, mparams, vocab, rules):
         bindings = [None]
     if (req.tone or req.rhyme) and rules.tone_dict is None:
         raise GenerationError("tone and rhyme constraints need a tone dictionary")
-    table = None
-    if rules.tone_dict is not None:
-        table = rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
+    table = None if rules.tone_dict is None else rules.vocab_table(vocab)
     cfg = mparams.cfg
     nodes = mparams.wrap()
     keywords = req.keywords.split() if req.sep_keywords else ["".join(req.keywords.split())]
@@ -147,8 +165,7 @@ def beam_search_generate(req, mparams, vocab, rules):
 
     for step, (kind, line, pos) in enumerate(plan):
         s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
-        alpha_h = np.round(info["alpha_h"], 6).tolist()
-        alpha_x = None if info["alpha_x"] is None else np.round(info["alpha_x"], 6).tolist()
+        alpha_h, alpha_x = _logged_weights(info["alpha_h"]), _logged_weights(info["alpha_x"])
         step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
             {"prefix": hyp.text, "alpha_h": alpha_h[b],
              "alpha_x": None if alpha_x is None else alpha_x[b]} for b, hyp in enumerate(beam)]}

@@ -164,7 +164,7 @@ def encode(input_ids, nodes, cfg):
         raise ValueError("encode: input_ids must be 1-d or 2-d")
     emb = nodes["emb"]
     xs = [nm.embedding_rows(emb, ids[..., t]) for t in range(ids.shape[-1])]
-    zero = nm.constant(np.zeros(ids.shape[:-1] + (cfg.H,)))
+    zero = nm.constant(np.zeros(ids.shape[:-1] + (cfg.H,), dtype=emb.value.dtype))
     pf = gru_subparams(nodes, "enc_f")
     pb = gru_subparams(nodes, "enc_b")
     fwd = []
@@ -223,9 +223,10 @@ def decode_step(s_prev, y_prev_id, enc, nodes, cfg):
 
 
 def init_decoder_state(enc, genre, nodes, indicators):
-    """s0 = tanh(W [final backward state || type indicator] + b)."""
-    vec = indicators[genre]
+    """s0 = tanh(W [final backward state || type indicator] + b), in W's dtype."""
+    W = nodes["init.W"]
+    vec = indicators[genre].astype(W.value.dtype, copy=False)
     back = enc.back_final
     ind = nm.constant(np.broadcast_to(vec, back.value.shape[:-1] + vec.shape))
     joined = nm.concat([back, ind])
-    return nm.tanh(nm.affine(nodes["init.W"], joined, nodes["init.b"]))
+    return nm.tanh(nm.affine(W, joined, nodes["init.b"]))

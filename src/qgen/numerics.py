@@ -1,12 +1,14 @@
 """Reverse-mode autodiff over numpy arrays, plus AdaDelta and gradient checking.
 
-Everything is double precision. The tape is a plain DAG of Node objects. Ops
-on the recurrent hot path (GRU cell, additive attention) are fused into single
-nodes with hand-derived backward passes. Every op has one formula for a single
-vector and a (batch, dim) matrix alike: a vector is a one-row batch. Outputs
-keep the rank of the inputs, and where a formula needs the rows explicitly
-(weight gradients, attention) it works on the `_rows` view of the array, so a
-vector costs no extra tape node. Attention is split in two ops: the keys of
+Every op computes in the dtype of its inputs: training and gradient checking
+run in float64, and a checkpoint loaded to generate runs in float32. The tape
+is a plain DAG of Node objects. Ops on the recurrent hot path (GRU cell,
+additive attention) are fused into single nodes with hand-derived backward
+passes. Every op has one formula for a single vector and a (batch, dim)
+matrix alike: a vector is a one-row batch. Outputs keep the rank of the
+inputs, and where a formula needs the rows explicitly (weight gradients,
+attention) it works on the `_rows` view of the array, so a vector costs no
+extra tape node. Attention is split in two ops: the keys of
 a memory, computed once per memory, and the attend step that every decoder
 step runs over them, also for B query rows sharing one memory (a beam).
 `stack` turns T per-step nodes into one (..., T, dim) node, so work that
@@ -32,7 +34,8 @@ class ShapeError(ValueError):
 class Node:
     """One value in the computation graph.
 
-    value   -- numpy float64 array (scalar values are 0-d arrays)
+    value   -- numpy floating array, kept in its dtype; int or list input
+               becomes float64 (scalar values are 0-d arrays)
     grad    -- accumulated dL/dvalue, filled in by backward()
     parents -- upstream nodes
     bwd     -- closure(out_grad) that pushes gradient to parents; None for leaves
@@ -43,7 +46,8 @@ class Node:
     __slots__ = ("value", "grad", "parents", "bwd", "factors", "lookups")
 
     def __init__(self, value, parents=(), bwd=None):
-        self.value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value)
+        self.value = value if value.dtype.kind == "f" else value.astype(np.float64)
         self.grad = None
         self.parents = parents
         self.bwd = bwd

@@ -8,10 +8,12 @@ step follows each minibatch. Only the decoder recurrence runs step by step:
 its T feature rows are stacked, and one output projection, one softmax and
 one cross entropy run over the whole (B, T, V) minibatch.
 
-Checkpoint container, version 2: magic `QGEN`, u32 version, u64 header
+Checkpoint container, version 3: magic `QGEN`, u32 version, u64 header
 length, JSON header, then length-prefixed named tensors as little-endian
-doubles: the model parameters and genre indicators, which generation reads.
-It holds no optimizer state, so training cannot resume from a checkpoint.
+float32 (`<f4`): the model parameters and genre indicators, which generation
+reads. It holds no optimizer state, so training cannot resume from a
+checkpoint. Training runs in float64; a checkpoint is read only to generate,
+so it is where the model turns float32.
 """
 
 import json
@@ -184,7 +186,7 @@ def train(examples, mparams, config, stop_below_loss=None, log_fn=None):
 # ---------------------------------------------------------------------------
 
 MAGIC = b"QGEN"
-VERSION = 2
+VERSION = 3
 HEADER_FIELDS = ("hyper", "step", "train_seed", "vocab", "tensors")
 
 
@@ -196,7 +198,7 @@ def _write_tensor(f, name, arr):
     nb = name.encode("utf-8")
     f.write(struct.pack("<I", len(nb)))
     f.write(nb)
-    arr = np.ascontiguousarray(arr, dtype="<f8")
+    arr = np.ascontiguousarray(arr, dtype="<f4")
     f.write(struct.pack("<I", arr.ndim))
     for dim in arr.shape:
         f.write(struct.pack("<Q", dim))
@@ -225,11 +227,23 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
-def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
-    """Write a self-describing checkpoint of the model; reload is bit-exact.
+def for_generation(name, arr):
+    """A tensor as a loaded checkpoint holds it: float32, which halves the
+    bytes every decoder product streams, and, for every weight matrix but
+    `emb` (whose rows are gathered), column-major, so the decoder's `x @ W.T`
+    at a beam's few rows reads a contiguous `W.T`, which the BLAS multiplies
+    faster."""
+    arr = np.asarray(arr, dtype=np.float32)
+    return np.asfortranarray(arr) if arr.ndim == 2 and name != "emb" else arr
 
-    `opt_state` is ignored: generation never reads optimizer state, so version
-    2 drops it, and the argument stays only for callers written for version 1.
+
+def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
+    """Write a self-describing float32 checkpoint of the model.
+
+    Loading it gives `for_generation` of every tensor exactly, so saving a
+    loaded model writes the same bytes. `opt_state` is ignored: generation
+    never reads optimizer state, and the argument stays only for callers
+    written for version 1.
     The file is written beside `path` and renamed over it, so a failed write
     leaves any previous checkpoint at `path` intact.
     """
@@ -264,9 +278,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, None, Vocab, step, train_seed).
 
     The None held the AdaDelta state in version 1; it stays for callers that unpack five.
-    A checkpoint is only read to generate, so every weight matrix but `emb` (whose
-    rows are gathered) is laid out column-major: the decoder's `x @ W.T` at a beam's
-    few rows then reads a contiguous `W.T`, which the BLAS multiplies faster.
+    A checkpoint is only read to generate, so each tensor is read straight into a
+    float32 buffer and laid out as `for_generation` says.
     """
     with open(path, "rb") as f:
         r = _Reader(f)
@@ -297,12 +310,11 @@ def load_checkpoint(path):
                                       % (r.off, name, expected))
             ndim = r.uint("<I", "rank")
             shape = tuple(r.uint("<Q", "dim") for _ in range(ndim))
-            tensors[name] = r.take(8 * math.prod(shape), "tensor %r data" % name,
-                                   lambda n: np.empty(shape, dtype="<f8"))
-            if not np.isfinite(tensors[name]).all():
+            data = r.take(4 * math.prod(shape), "tensor %r data" % name,
+                          lambda n: np.empty(shape, dtype="<f4"))
+            if not np.isfinite(data).all():
                 raise CheckpointError("tensor %r holds a non-finite value" % name)
-            if tensors[name].ndim == 2 and name != "emb":
-                tensors[name] = np.asfortranarray(tensors[name])
+            tensors[name] = for_generation(name, data)
         if r.off != r.size:
             raise CheckpointError("trailing bytes at offset %d" % r.off)
 

@@ -6,7 +6,7 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import data_path
+from conftest import data_path, laid_out_for_generation
 from qgen.corpus import (BOS, N_RESERVED, SEP, Genre, Poem,
                          build_training_sequence, build_vocab)
 from qgen.generation import (GenerationError, GenRequest, ProsodyRules,
@@ -360,25 +360,45 @@ def assert_same_search(lines, records, want_lines, expect):
 
 @pytest.fixture(scope="module")
 def trained_and_reloaded(world, tmp_path_factory):
-    """A toy model trained in memory, and the same model saved and reloaded,
-    which lays its weight matrices out column-major."""
+    """A toy model trained in memory, that model passed through the loader's
+    cast and layout rule, and the model saved and reloaded, which holds it in
+    float32 with its weight matrices column-major."""
     vocab, mparams, _ = world
     trained = ModelParams.initialize(mparams.cfg)
     examples = [build_training_sequence(p, vocab) for p in POEMS]
     train(examples, trained, TrainConfig(epochs=3, minibatch=2, seed=5))
     path = str(tmp_path_factory.mktemp("ckpt") / "toy.ckpt")
     save_checkpoint(path, trained, None, vocab, 3, 5)
-    return trained, load_checkpoint(path)[0]
+    return trained, laid_out_for_generation(trained), load_checkpoint(path)[0]
 
 
 @pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
 def test_reloaded_checkpoint_generates_as_trained_model(world, trained_and_reloaded, kw):
+    """The file holds exactly the in-memory model under the loader's cast and layout."""
     vocab, _, rules = world
-    trained, reloaded = trained_and_reloaded
+    _, laid_out, reloaded = trained_and_reloaded
+    req = GenRequest(**kw)
+    poem, records = beam_search_generate(req, reloaded, vocab, rules)
+    want, expect = beam_search_generate(req, laid_out, vocab, rules)
+    assert_same_search(poem.lines, records, want.lines, expect)
+
+
+@pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
+def test_float32_checkpoint_generates_the_float64_poems(world, trained_and_reloaded, kw):
+    """Decoding in float32 moves no poem and scores within 1e-5 of float64,
+    and its step records keep 6-decimal attention weights."""
+    vocab, _, rules = world
+    trained, _, reloaded = trained_and_reloaded
     req = GenRequest(**kw)
     poem, records = beam_search_generate(req, reloaded, vocab, rules)
     want, expect = beam_search_generate(req, trained, vocab, rules)
-    assert_same_search(poem.lines, records, want.lines, expect)
+    assert poem.lines == want.lines
+    got_final, want_final = dict(records[-1]), dict(expect[-1])
+    assert abs(got_final.pop("final_logp") - want_final.pop("final_logp")) <= 1e-5
+    assert got_final == want_final
+    weights = [w for rec in records[:-1] for cand in rec["candidates"]
+               for w in cand["alpha_h"] + (cand["alpha_x"] or [])]
+    assert weights and all(round(w, 6) == w for w in weights)
 
 
 def relaxing_setup(world, dropped):

@@ -162,6 +162,19 @@ def test_decode_step_distribution_and_genre_state():
     assert abs(info["alpha_x"].sum() - 1.0) < 1e-12
 
 
+def test_float32_parameters_encode_and_start_decoding_in_float32():
+    """The encoder's zero state and the genre indicator take the parameters'
+    dtype, so a float64 operand never upcasts a float32 model's products."""
+    cfg, mp = small_model(seed=4)
+    nodes = {k: nm.Node(v.astype(np.float32)) for k, v in mp.tensors.items()}
+    enc = encode(np.array([[5, 6, 7], [8, 9, 10]]), nodes, cfg)
+    s0 = init_decoder_state(enc, Genre.FIVE_CHAR, nodes, mp.indicators)    # float64 indicators
+    s1, dist, info = decode_step(s0, np.array([6, 9]), enc, nodes, cfg)
+    for value in (enc.states.value, enc.keys_h.value, enc.back_final.value, s0.value,
+                  s1.value, dist.value, info["alpha_h"], info["alpha_x"]):
+        assert value.dtype == np.float32
+
+
 def test_encode_rejects_empty_and_bad_rank():
     cfg, mp = small_model()
     with pytest.raises(ValueError):

@@ -495,3 +495,27 @@ def test_adadelta_state_validation():
         nm.adadelta_step(params, {"z": np.zeros(2)}, state)
     with pytest.raises(nm.ShapeError):
         nm.adadelta_step(params, {"x": np.zeros(3)}, state)
+
+
+def test_ops_keep_float32_inputs_float32():
+    """A float32 model decodes in float32: every forward op keeps the dtype of
+    its operands, while int or list input still becomes float64."""
+    rng = np.random.default_rng(0)
+
+    def f32(*shape):
+        return nm.Node(rng.normal(size=shape).astype(np.float32))
+    x, h, q = f32(2, 3), f32(2, 4), f32(2, 4)
+    gru = {k + g: f32(*shape) for g in "zrh"
+           for k, shape in (("W", (4, 3)), ("U", (4, 4)), ("b", (4,)))}
+    M, U, W, v = f32(5, 3), f32(6, 3), f32(6, 4), f32(6)
+    ctx, alpha = nm.attend(q, M, nm.attention_keys(M, U), W, v)
+    values = {"affine": nm.affine(gru["Wz"], x, gru["bz"]).value,
+              "gru_cell": nm.gru_cell(x, h, gru).value,
+              "attend": ctx.value, "attend alpha": alpha,
+              "softmax": nm.softmax(x).value, "concat": nm.concat([x, h]).value,
+              "stack": nm.stack([x, x]).value,
+              "embedding_rows": nm.embedding_rows(M, [0, 4]).value}
+    assert {op: a.dtype for op, a in values.items()} == dict.fromkeys(values, np.float32)
+    kept = np.zeros(3, dtype=np.float32)
+    assert nm.Node(kept).value is kept
+    assert nm.Node([1, 2]).value.dtype == nm.Node(3).value.dtype == np.float64

@@ -7,15 +7,15 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import BAD_HEADERS, edit_checkpoint_header
+from conftest import BAD_HEADERS, edit_checkpoint_header, laid_out_for_generation
 from qgen import numerics as nm
 from qgen.corpus import BOS, Genre, Poem, build_training_sequence, build_vocab
 from qgen.model import (ModelConfig, ModelParams, decode_step, encode,
                         init_decoder_state)
-from qgen.training import (CheckpointError, GenreMode, TrainConfig,
+from qgen.training import (VERSION, CheckpointError, GenreMode, TrainConfig,
                            _check_genre_mode, _genre_pure_batches, _teacher_forced,
-                           _write_tensor, batch_loss, load_checkpoint, save_checkpoint,
-                           teacher_forced_argmax, train, train_epoch)
+                           _write_tensor, batch_loss, for_generation, load_checkpoint,
+                           save_checkpoint, teacher_forced_argmax, train, train_epoch)
 
 POEMS_5 = [
     Poem(Genre.FIVE_CHAR, ["月黑雁飞高", "单于夜遁逃", "欲将轻骑逐", "大雪满弓刀"]),
@@ -215,16 +215,19 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     assert (step2, seed2) == (step, 4)
     assert mp2.cfg == cfg
     assert vocab2.char_to_id == vocab.char_to_id
+    # laid out for generation: float32, and every weight matrix but `emb` column-major
+    laid_out = laid_out_for_generation(mp)
     for name in mp.tensors:
-        np.testing.assert_array_equal(mp2.tensors[name], mp.tensors[name])
-    # laid out for generation: every weight matrix but `emb` is column-major
+        assert mp2.tensors[name].dtype == np.float32, name
+        np.testing.assert_array_equal(mp2.tensors[name], laid_out.tensors[name])
     matrices = [k for k, v in mp2.tensors.items() if v.ndim == 2]
     assert "emb" in matrices and len(matrices) == 25
     for name in matrices:
         assert mp2.tensors[name].flags.f_contiguous == (name != "emb"), name
     assert mp2.tensors["emb"].flags.c_contiguous
     for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
-        np.testing.assert_array_equal(mp2.indicators[g], mp.indicators[g])
+        assert mp2.indicators[g].dtype == np.float32
+        np.testing.assert_array_equal(mp2.indicators[g], laid_out.indicators[g])
     # the file holds the model only: no optimizer state
     with open(path, "rb") as f:
         blob = f.read()
@@ -234,8 +237,8 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     # saving the loaded model writes the same bytes
     save_checkpoint(str(tmp_path / "again.ckpt"), mp2, None, vocab2, step2, seed2)
     assert (tmp_path / "again.ckpt").read_bytes() == blob
-    # the reloaded model computes identical losses
-    l1, _ = batch_loss([examples[0]], mp)
+    # the reloaded model computes the losses of the model laid out for generation
+    l1, _ = batch_loss([examples[0]], laid_out)
     l2, _ = batch_loss([examples[0]], mp2)
     np.testing.assert_array_equal(l1, l2)
 
@@ -260,10 +263,11 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(str(bad))
 
-    for version in (1, 99):
+    assert struct.unpack("<I", blob[4:8])[0] == VERSION == 3
+    for version in (1, 2, 99):
         bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
-        with pytest.raises(CheckpointError,
-                           match="version %d unsupported \\(expected 2\\)" % version):
+        with pytest.raises(CheckpointError, match="version %d unsupported \\(expected %d\\)"
+                           % (version, VERSION)):
             load_checkpoint(str(bad))
 
     # first tensor's dims set to 2**32 each: their product overflows int64
@@ -343,7 +347,7 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, setup, monkeypatch):
     assert os.listdir(tmp_path) == ["model.ckpt"]
     mp2, _, _, step, _ = load_checkpoint(str(path))
     assert step == 3
-    np.testing.assert_array_equal(mp2.tensors["emb"], mp.tensors["emb"])
+    np.testing.assert_array_equal(mp2.tensors["emb"], for_generation("emb", mp.tensors["emb"]))
 
 
 def test_train_config_validation():
