@@ -1,7 +1,9 @@
 """Reverse-mode autodiff over numpy arrays, plus AdaDelta and gradient checking.
 
-Every op computes in the dtype of its inputs: training and gradient checking
-run in float64, and a checkpoint loaded to generate runs in float32. The tape
+Every op computes in the dtype of its inputs. Training runs each minibatch
+in float32 on a copy of float64 master weights, which adadelta_step updates
+in float64; gradient checking runs in float64; and a checkpoint loaded to
+generate runs in float32, which halves the bytes a product streams. The tape
 is a plain DAG of Node objects. Ops on the recurrent hot path (GRU cell,
 additive attention) are fused into single nodes with hand-derived backward
 passes. Every op has one formula for a single vector and a (batch, dim)

@@ -6,14 +6,18 @@ then target[t-1]). A genre-pure minibatch runs through one tape as (B, dim)
 rows; its gradient is that of the mean per-example loss, and one AdaDelta
 step follows each minibatch. Only the decoder recurrence runs step by step:
 its T feature rows are stacked, and one output projection, one softmax and
-one cross entropy run over the whole (B, T, V) minibatch.
+one cross entropy run over the whole (B, T, V) minibatch. The master
+parameters and the AdaDelta accumulators are float64; each minibatch computes
+its loss and gradients in float32 on a fresh copy of the masters, which halves
+the bytes every product streams, and its step updates the masters in float64,
+so that updates smaller than a float32 ulp of a weight still accumulate.
 
 Checkpoint container, version 3: magic `QGEN`, u32 version, u64 header
 length, JSON header, then length-prefixed named tensors as little-endian
 float32 (`<f4`): the model parameters and genre indicators, which generation
 reads. It holds no optimizer state, so training cannot resume from a
-checkpoint. Training runs in float64; a checkpoint is read only to generate,
-so it is where the model turns float32.
+checkpoint. A checkpoint is read only to generate, so it is where a model
+to generate turns float32.
 """
 
 import json
@@ -137,7 +141,8 @@ def _genre_pure_batches(examples, order, minibatch):
 
 
 def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
-    """One pass over the examples, shuffled by `rng`; one AdaDelta step per minibatch."""
+    """One pass over the examples, shuffled by `rng`; one AdaDelta step per minibatch,
+    whose float32 gradients come from a float32 copy of the float64 masters."""
     if not examples:
         raise ValueError("no training examples")
     _check_genre_mode(examples, config.genre_mode)
@@ -148,9 +153,12 @@ def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
     genre_n = {}
     for idxs in _genre_pure_batches(examples, order, config.minibatch):
         batch = [examples[i] for i in idxs]
-        losses, grads = batch_loss(batch, mparams)
-        for ex, loss in zip(batch, losses):
-            if not np.isfinite(loss):
+        compute = ModelParams(mparams.cfg,
+                              {k: v.astype(np.float32) for k, v in mparams.tensors.items()},
+                              mparams.indicators)
+        losses, grads = batch_loss(batch, compute)
+        for ex, loss in zip(batch, losses.tolist()):
+            if not math.isfinite(loss):
                 raise FloatingPointError("non-finite loss on example %r (epoch %d)"
                                          % (ex.source_id, epoch))
             total += loss
@@ -195,14 +203,17 @@ class CheckpointError(Exception):
 
 
 def _write_tensor(f, name, arr):
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(arr, dtype="<f4")
+    if (np.isinf(data) & np.isfinite(arr)).any():
+        raise CheckpointError("tensor %r holds a finite value beyond float32 range" % name)
     nb = name.encode("utf-8")
     f.write(struct.pack("<I", len(nb)))
     f.write(nb)
-    arr = np.ascontiguousarray(arr, dtype="<f4")
-    f.write(struct.pack("<I", arr.ndim))
-    for dim in arr.shape:
+    f.write(struct.pack("<I", data.ndim))
+    for dim in data.shape:
         f.write(struct.pack("<Q", dim))
-    f.write(arr.tobytes())
+    f.write(data.tobytes())
 
 
 class _Reader:
@@ -245,7 +256,9 @@ def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
     never reads optimizer state, and the argument stays only for callers
     written for version 1.
     The file is written beside `path` and renamed over it, so a failed write
-    leaves any previous checkpoint at `path` intact.
+    leaves any previous checkpoint at `path` intact. A finite value beyond
+    float32 range raises CheckpointError; NaN and inf are written as they
+    are, and `load_checkpoint` refuses them.
     """
     out = dict(mparams.tensors)
     out["ind.5"] = mparams.indicators[Genre.FIVE_CHAR]

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -103,6 +104,71 @@ def test_batch_loss_grads_match_per_step_weight_gradients(setup, monkeypatch):
             np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12,
                                        atol=1e-12 * np.abs(ref_grads[name]).max(),
                                        err_msg=name)
+
+
+def test_float32_batch_loss_tracks_float64(setup):
+    """The float32 copy a training step computes on gives the float64 losses
+    and gradients to float32 precision. Each gradient is bounded relative to
+    its own largest entry, with a floor of a millionth of the batch's largest
+    gradient: the attention `W` gradients cancel to first order at small
+    weights (a softmax's score gradients sum to zero), so they keep only
+    float32's absolute precision. AdaDelta moves such a weight by about its
+    own gradient, so that error reaches the weight at the gradient's tiny
+    size."""
+    _, vocab, examples, _ = setup
+    cfg = ModelConfig(vocab_size=len(vocab), d=16, H=12, H_dec=20, seed=3)
+    mp = ModelParams.initialize(cfg)
+    mp32 = ModelParams(cfg, {k: v.astype(np.float32) for k, v in mp.tensors.items()},
+                       mp.indicators)
+    for genre in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
+        batch = [e for e in examples if e.genre == genre]
+        losses, grads = batch_loss(batch, mp)
+        losses32, grads32 = batch_loss(batch, mp32)
+        assert losses32.dtype == np.float32
+        np.testing.assert_allclose(losses32, losses, rtol=0, atol=1e-5)
+        assert grads32.keys() == grads.keys()
+        floor = 1e-6 * max(np.abs(g).max() for g in grads.values())
+        for name, g in grads.items():
+            assert grads32[name].dtype == np.float32, name
+            np.testing.assert_allclose(grads32[name], g, rtol=0,
+                                       atol=1e-4 * max(np.abs(g).max(), floor),
+                                       err_msg=name)
+
+
+def test_train_epoch_steps_float64_masters_with_float32_grads(setup, monkeypatch):
+    _, _, examples, cfg = setup
+    mp = ModelParams.initialize(cfg)
+    opt = nm.AdaDeltaState(mp.tensors)
+    fed = []
+    step = nm.adadelta_step
+
+    def recording_step(params, grads, state):
+        fed.append({k: g.dtype for k, g in grads.items()})
+        step(params, grads, state)
+    monkeypatch.setattr(nm, "adadelta_step", recording_step)
+    train_epoch(examples, mp, opt, TrainConfig(minibatch=2), np.random.default_rng(0))
+    assert len(fed) == 3                   # 3 five-char examples in 2 batches, 2 seven-char in 1
+    for dtypes in fed:
+        assert dtypes and set(dtypes.values()) == {np.dtype(np.float32)}
+    for name, v in mp.tensors.items():
+        assert v.dtype == np.float64, name
+        assert opt.eg2[name].dtype == opt.edx2[name].dtype == np.float64, name
+    for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
+        assert mp.indicators[g].dtype == np.float64
+    assert opt.edx2["out.b"].any()         # the steps reached the accumulators
+
+
+def test_epoch_report_is_json(setup):
+    """Losses come back as float32; the report holds Python floats, which
+    json.dumps writes (it refuses an np.float32)."""
+    _, _, examples, cfg = setup
+    mp = ModelParams.initialize(cfg)
+    _, (report,), _ = train(examples, mp, TrainConfig(epochs=1, minibatch=2, seed=1))
+    assert type(report.mean_loss) is float
+    assert all(type(v) is float for v in report.genre_loss.values())
+    line = json.loads(json.dumps(asdict(report)))
+    assert line == {"epoch": 0, "mean_loss": report.mean_loss,
+                    "genre_loss": report.genre_loss}
 
 
 def test_batch_loss_rejects_mixed_genres(setup):
@@ -348,6 +414,26 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, setup, monkeypatch):
     mp2, _, _, step, _ = load_checkpoint(str(path))
     assert step == 3
     np.testing.assert_array_equal(mp2.tensors["emb"], for_generation("emb", mp.tensors["emb"]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_save_refuses_value_beyond_float32(tmp_path, setup):
+    """A finite value that float32 cannot hold would be written as inf, which
+    load_checkpoint refuses; saving refuses it first, naming the tensor, and
+    the previous file survives."""
+    _, vocab, _, cfg = setup
+    mp = ModelParams.initialize(cfg)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(str(path), mp, None, vocab, 3, 0)
+    blob = path.read_bytes()
+    mp.tensors["out.b"][3] = 1e39
+    with pytest.raises(CheckpointError, match="'out.b' holds a finite value beyond float32"):
+        save_checkpoint(str(path), mp, None, vocab, 4, 0)
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+    mp.tensors["out.b"][3] = -np.finfo(np.float32).max     # the largest float32 is kept
+    save_checkpoint(str(path), mp, None, vocab, 4, 0)
+    assert load_checkpoint(str(path))[0].tensors["out.b"][3] == -np.finfo(np.float32).max
 
 
 def test_train_config_validation():
