@@ -60,6 +60,10 @@ def _build_id():
     return "qgen-" + __version__
 
 
+def _manifest_path(args):
+    return args.manifest or (args.command + ".manifest.json")
+
+
 def _manifest(args, started):
     """Write the run manifest; `args.inputs`/`args.outputs` name the path flags."""
     cfg = {k: v for k, v in vars(args).items()
@@ -77,8 +81,7 @@ def _manifest(args, started):
                                "usable_cpus": len(os.sched_getaffinity(0))
                                if hasattr(os, "sched_getaffinity") else None},
                "wall_time_s": round(time.monotonic() - started, 3)}
-    with open(args.manifest or (args.command + ".manifest.json"), "w",
-              encoding="utf-8") as f:
+    with open(_manifest_path(args), "w", encoding="utf-8") as f:
         json.dump(payload, f, ensure_ascii=False, indent=2, default=str)  # str: a packaged path
         f.write("\n")
 
@@ -90,8 +93,8 @@ def _emit(record, file=None):
 
 
 def _check_writable(path):
-    """Fail now, with open()'s own error, if `path` could not be written after
-    training; the empty file this may create is removed again."""
+    """Fail now, with open()'s own error, if `path` could not be written once
+    the command has run; the empty file this may create is removed again."""
     existed = os.path.lexists(path)
     open(path, "a").close()
     if not existed:
@@ -336,6 +339,7 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0,) else 0
     started = time.monotonic()
     try:
+        _check_writable(_manifest_path(args))   # so no output precedes a manifest failure
         code = args.func(args)
         _manifest(args, started)        # only a command that returned has a manifest
         return code

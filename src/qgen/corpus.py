@@ -6,6 +6,7 @@ characters (FiveChar) or 7 characters (SevenChar), none of them whitespace;
 genre is inferred.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -93,21 +94,20 @@ def parse_corpus(path, genre_filter=None):
 
 
 class Vocab:
-    """Bidirectional char<->id map with reserved tokens at fixed low ids."""
+    """The characters in id order, reserved tokens first, and their char -> id map."""
 
-    def __init__(self):
-        self.char_to_id = dict(RESERVED)
-        self.id_to_char = {i: c for c, i in RESERVED.items()}
-        self.freq = {}
+    def __init__(self, chars=()):
+        self.chars = [*RESERVED, *chars]
+        self.char_to_id = {c: i for i, c in enumerate(self.chars)}
 
     def __len__(self):
-        return len(self.char_to_id)
+        return len(self.chars)
 
     def id(self, char):
         return self.char_to_id.get(char, UNK)
 
     def char(self, idx):
-        return self.id_to_char[idx]
+        return self.chars[idx]
 
     def encode(self, text):
         return [self.id(c) for c in text]
@@ -120,23 +120,8 @@ def build_vocab(poems, min_count=1):
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    vocab = Vocab()
-    counts = {}
-    order = []
-    for poem in poems:
-        for c in poem.chars():
-            if c not in counts:
-                counts[c] = 0
-                order.append(c)
-            counts[c] += 1
-    next_id = N_RESERVED
-    for c in order:
-        if counts[c] >= min_count:
-            vocab.char_to_id[c] = next_id
-            vocab.id_to_char[next_id] = c
-            next_id += 1
-    vocab.freq = counts
-    return vocab
+    counts = Counter(c for poem in poems for c in poem.chars())
+    return Vocab(c for c, n in counts.items() if n >= min_count)
 
 
 def filter_poems(poems, vocab):

@@ -54,7 +54,7 @@ class ProsodyRules:
         """
         td, built_for, table = self._table or (None, None, None)
         if td is not self.tone_dict or built_for is not vocab:
-            table = self.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
+            table = self.tone_dict.tables(vocab.chars)
             self._table = (self.tone_dict, vocab, table)
         return table
 

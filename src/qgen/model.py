@@ -28,15 +28,12 @@ class ModelConfig:
     d: int = 128            # character embedding size
     H: int = 128            # encoder hidden size (per direction)
     H_dec: int = 256        # decoder hidden size
-    A: int = 0              # attention score size; 0 -> H_dec
     use_input_attention: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.vocab_size, self.d, self.H, self.H_dec) < 1 or self.A < 0:
-            raise ValueError("vocab_size, d, H and H_dec must be >= 1, and A >= 0")
-        if self.A == 0:
-            self.A = self.H_dec
+        if min(self.vocab_size, self.d, self.H, self.H_dec) < 1:
+            raise ValueError("vocab_size, d, H and H_dec must be >= 1")
 
     @property
     def dec_input_dim(self):
@@ -93,13 +90,13 @@ def param_shapes(cfg):
             shapes["%s.%s" % (prefix, k)] = s
     for k, s in _gru_shapes(cfg.dec_input_dim, cfg.H_dec).items():
         shapes["dec.%s" % k] = s
-    shapes["attn_h.W"] = (cfg.A, cfg.H_dec)
-    shapes["attn_h.U"] = (cfg.A, 2 * cfg.H)
-    shapes["attn_h.v"] = (cfg.A,)
+    shapes["attn_h.W"] = (cfg.H_dec, cfg.H_dec)
+    shapes["attn_h.U"] = (cfg.H_dec, 2 * cfg.H)
+    shapes["attn_h.v"] = (cfg.H_dec,)
     if cfg.use_input_attention:
-        shapes["attn_x.W"] = (cfg.A, cfg.H_dec)
-        shapes["attn_x.U"] = (cfg.A, cfg.d)
-        shapes["attn_x.v"] = (cfg.A,)
+        shapes["attn_x.W"] = (cfg.H_dec, cfg.H_dec)
+        shapes["attn_x.U"] = (cfg.H_dec, cfg.d)
+        shapes["attn_x.v"] = (cfg.H_dec,)
     shapes["out.W"] = (cfg.vocab_size, cfg.out_input_dim)
     shapes["out.b"] = (cfg.vocab_size,)
     shapes["init.W"] = (cfg.H_dec, cfg.H + INDICATOR_DIM)

@@ -12,12 +12,13 @@ its loss and gradients in float32 on a fresh copy of the masters, which halves
 the bytes every product streams, and its step updates the masters in float64,
 so that updates smaller than a float32 ulp of a weight still accumulate.
 
-Checkpoint container, version 3: magic `QGEN`, u32 version, u64 header
+Checkpoint container, version 4: magic `QGEN`, u32 version, u64 header
 length, JSON header, then length-prefixed named tensors as little-endian
 float32 (`<f4`): the model parameters and genre indicators, which generation
-reads. It holds no optimizer state, so training cannot resume from a
-checkpoint. A checkpoint is read only to generate, so it is where a model
-to generate turns float32.
+reads. The header holds the hyper parameters and the vocabulary as its
+characters in id order after the reserved tokens. It holds no optimizer
+state, so training cannot resume from a checkpoint. A checkpoint is read only
+to generate, so it is where a model to generate turns float32.
 """
 
 import json
@@ -30,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from . import numerics as nm
-from .corpus import BOS, N_RESERVED, RESERVED, Genre, Vocab
+from .corpus import BOS, N_RESERVED, Genre, Vocab
 from .model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_recurrence, encode,
                     init_decoder_state, output_projection, param_shapes)
 
@@ -194,7 +195,7 @@ def train(examples, mparams, config, stop_below_loss=None, log_fn=None):
 # ---------------------------------------------------------------------------
 
 MAGIC = b"QGEN"
-VERSION = 3
+VERSION = 4
 HEADER_FIELDS = ("hyper", "step", "train_seed", "vocab", "tensors")
 
 
@@ -268,7 +269,7 @@ def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
         "hyper": asdict(mparams.cfg),
         "step": step,
         "train_seed": train_seed,
-        "vocab": [[c, i, vocab.freq.get(c, 0)] for c, i in vocab.char_to_id.items()],
+        "vocab": vocab.chars[N_RESERVED:],
         "tensors": names,
     }
     hb = json.dumps(header, ensure_ascii=False).encode("utf-8")
@@ -354,23 +355,11 @@ def load_checkpoint(path):
 
     indicators = {Genre.FIVE_CHAR: tensors["ind.5"], Genre.SEVEN_CHAR: tensors["ind.7"]}
     mparams = ModelParams(cfg, {k: tensors[k] for k in shapes}, indicators)
-    entries = header["vocab"]
-    if not isinstance(entries, list) or any(
-            not isinstance(e, list) or [type(x) for x in e] != [str, int, int]
-            for e in entries):
-        raise CheckpointError("bad vocabulary in header: entries must be [char, id, count]")
-    vocab = Vocab()
-    vocab.char_to_id = {char: idx for char, idx, _ in entries}
-    vocab.freq = {char: freq for char, _, freq in entries if freq}
-    ids = set(vocab.char_to_id.values())
-    if len(vocab) != cfg.vocab_size or ids != set(range(len(vocab))):
-        raise CheckpointError("vocabulary of %d entries does not hold ids 0..%d"
-                              % (len(vocab), cfg.vocab_size - 1))
-    vocab.id_to_char = {idx: char for char, idx in vocab.char_to_id.items()}
-    chars = [vocab.id_to_char[i] for i in range(len(vocab))]
-    if chars[:N_RESERVED] != list(RESERVED) or any(len(c) != 1 or c.isspace()
-                                                   for c in chars[N_RESERVED:]):
-        raise CheckpointError("bad vocabulary in header: ids 0..%d must hold %s, and every "
-                              "other id one non-whitespace character"
-                              % (N_RESERVED - 1, " ".join(RESERVED)))
-    return mparams, None, vocab, header["step"], header["train_seed"]
+    chars = header["vocab"]
+    if (not isinstance(chars, list) or len(chars) != cfg.vocab_size - N_RESERVED
+            or any(type(c) is not str or len(c) != 1 or c.isspace() for c in chars)
+            or len(set(chars)) != len(chars)):
+        raise CheckpointError("bad vocabulary in header: want a list of %d distinct "
+                              "non-whitespace characters, those of ids %d..%d"
+                              % (cfg.vocab_size - N_RESERVED, N_RESERVED, cfg.vocab_size - 1))
+    return mparams, None, Vocab(chars), header["step"], header["train_seed"]

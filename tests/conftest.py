@@ -60,13 +60,14 @@ BAD_HEADERS = {
     "hyper over other shapes": (lambda h: {**h, "hyper": {**h["hyper"], "d": 7}},
                                 "shape"),
     "short vocabulary": (lambda h: {**h, "vocab": h["vocab"][:-1]}, "vocabulary"),
-    "non-string character": (lambda h: {**h, "vocab": [[12345, *h["vocab"][-1][1:]]]
-                                         + h["vocab"][:-1]}, "vocabulary"),
-    "reserved token moved": (lambda h: {**h, "vocab": [[c, {0: 5, 5: 0}.get(i, i), n]
-                                                       for c, i, n in h["vocab"]]},
+    "non-string character": (lambda h: {**h, "vocab": [12345, *h["vocab"][1:]]},
                              "vocabulary"),
-    "multi-character entry": (lambda h: {**h, "vocab": h["vocab"][:-1]
-                                          + [["白日", *h["vocab"][-1][1:]]]}, "vocabulary"),
+    "whitespace character": (lambda h: {**h, "vocab": [*h["vocab"][:-1], "\u3000"]},
+                             "vocabulary"),
+    "multi-character entry": (lambda h: {**h, "vocab": [*h["vocab"][:-1], "白日"]},
+                              "vocabulary"),
+    "repeated character": (lambda h: {**h, "vocab": [*h["vocab"][:-1], h["vocab"][0]]},
+                           "vocabulary"),
 }
 
 

@@ -288,6 +288,27 @@ def test_unwritable_manifest_is_one_line_failure(workdir, capsys):
     assert err.startswith("qgen: ") and len(err.splitlines()) == 1
 
 
+def test_generate_unwritable_manifest_prints_no_poem(workdir, trained, capsys):
+    assert main(["--manifest", "nodir/m.json", "generate", "--checkpoint", trained,
+                 "--keywords", "月黑", "--genre", "5", "--beam", "1"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qgen: ") and "nodir/m.json" in err and len(err.splitlines()) == 1
+    assert os.listdir(workdir) == []
+
+
+def test_train_unwritable_manifest_fails_before_training(workdir, capsys, monkeypatch):
+    monkeypatch.setattr("qgen.cli.train",
+                        lambda *a, **k: pytest.fail("trained despite an unwritable --manifest"))
+    assert main(["--manifest", "nodir/m.json", "train", "--corpus",
+                 data_path("overfit_corpus.txt"), "--epochs", "1", "--d", "8", "--H", "8",
+                 "--H-dec", "8", "--out", "m.ckpt"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("qgen: ") and "nodir/m.json" in err and len(err.splitlines()) == 1
+    assert os.listdir(workdir) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--poem", "poem-gbk.txt"],
     ["bleu", "--hyp", "poem-gbk.txt", "--refs", "refs.txt"],

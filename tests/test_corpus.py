@@ -1,9 +1,11 @@
 """Corpus parsing, vocabulary, and training sequence construction."""
 
+from collections import Counter
+
 import pytest
 
-from qgen.corpus import (BOS, EOS, N_RESERVED, PAD, SEP, UNK, CorpusError,
-                         Genre, Poem, build_training_sequence, build_vocab,
+from qgen.corpus import (BOS, EOS, N_RESERVED, PAD, RESERVED, SEP, UNK, CorpusError,
+                         Genre, Poem, Vocab, build_training_sequence, build_vocab,
                          filter_poems, parse_corpus)
 
 FIVE = "月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
@@ -86,15 +88,28 @@ def test_vocab_first_occurrence_order(tmp_path):
 
 
 def test_vocab_min_count(tmp_path):
-    report = parse_corpus(write_corpus(tmp_path, FIVE))
+    report = parse_corpus(write_corpus(tmp_path, FIVE + "\n" + SEVEN))
     vocab = build_vocab(report.poems, min_count=2)
     # only repeated characters survive
     assert vocab.id("大") == UNK
-    for c, n in vocab.freq.items():
+    assert vocab.id("轻") == N_RESERVED
+    counts = Counter(c for p in report.poems for c in p.chars())
+    for c, n in counts.items():
         if n >= 2:
             assert vocab.id(c) >= N_RESERVED
         else:
             assert vocab.id(c) == UNK
+
+
+def test_vocab_from_chars_puts_reserved_tokens_first():
+    chars = list("月黑雁飞高")
+    vocab = Vocab(chars)
+    assert len(vocab) == N_RESERVED + len(chars)
+    assert [vocab.id(t) for t in RESERVED] == list(range(N_RESERVED))
+    assert [vocab.char(i) for i in range(N_RESERVED)] == list(RESERVED)
+    assert [vocab.id(c) for c in chars] == list(range(N_RESERVED, len(vocab)))
+    assert all(vocab.char(vocab.id(c)) == c for c in [*RESERVED, *chars])
+    assert len(Vocab()) == N_RESERVED
 
 
 def test_vocab_min_count_validation():

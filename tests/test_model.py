@@ -17,10 +17,9 @@ def small_model(seed=0, **kw):
 
 
 def test_config_rejects_non_positive_sizes():
-    for bad in ({"vocab_size": 0}, {"d": 0}, {"H": 0}, {"H_dec": -1}, {"A": -1}):
+    for bad in ({"vocab_size": 0}, {"d": 0}, {"H": 0}, {"H_dec": -1}):
         with pytest.raises(ValueError, match=">= 1"):
             ModelConfig(**{"vocab_size": 10, **bad})
-    assert ModelConfig(vocab_size=10, d=1, H=1, H_dec=1).A == 1
 
 
 def test_indicators_unit_norm_and_deterministic():

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import BAD_HEADERS, edit_checkpoint_header, laid_out_for_generation
 from qgen import numerics as nm
-from qgen.corpus import BOS, Genre, Poem, build_training_sequence, build_vocab
+from qgen.corpus import BOS, N_RESERVED, Genre, Poem, build_training_sequence, build_vocab
 from qgen.model import (ModelConfig, ModelParams, decode_step, encode,
                         init_decoder_state)
 from qgen.training import (VERSION, CheckpointError, GenreMode, TrainConfig,
@@ -300,6 +300,10 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     hlen = struct.unpack("<Q", blob[8:16])[0]
     header = json.loads(blob[16:16 + hlen].decode("utf-8"))
     assert header["tensors"] == sorted([*mp.tensors, "ind.5", "ind.7"])
+    # the vocabulary as its characters in id order, and no attention-size key
+    assert header["vocab"] == [vocab.char(i) for i in range(N_RESERVED, len(vocab))]
+    assert list(header["hyper"]) == ["vocab_size", "d", "H", "H_dec",
+                                     "use_input_attention", "seed"]
     # saving the loaded model writes the same bytes
     save_checkpoint(str(tmp_path / "again.ckpt"), mp2, None, vocab2, step2, seed2)
     assert (tmp_path / "again.ckpt").read_bytes() == blob
@@ -329,8 +333,8 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(str(bad))
 
-    assert struct.unpack("<I", blob[4:8])[0] == VERSION == 3
-    for version in (1, 2, 99):
+    assert struct.unpack("<I", blob[4:8])[0] == VERSION == 4
+    for version in (1, 2, 3, 99):
         bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(CheckpointError, match="version %d unsupported \\(expected %d\\)"
                            % (version, VERSION)):
