@@ -107,16 +107,22 @@ def _load_rules(args):
     return ProsodyRules(tone_dict=tone_dict, templates=templates)
 
 
+def _parse_corpus(path, genre_filter=None):
+    """parse_corpus, telling stderr how many malformed records it skipped and why the first."""
+    report = parse_corpus(path, genre_filter=genre_filter)
+    if report.rejected:
+        print("skipped %d malformed records (first: %s)" % (report.rejected, report.reasons[0]),
+              file=sys.stderr)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
     _check_writable(args.out)
-    genre_filter = GENRES.get(args.genre)
-    report = parse_corpus(args.corpus, genre_filter=genre_filter)
-    if report.rejected:
-        print("skipped %d malformed records" % report.rejected, file=sys.stderr)
+    report = _parse_corpus(args.corpus, genre_filter=GENRES.get(args.genre))
     vocab = build_vocab(report.poems, min_count=args.min_count)
     poems, removed = filter_poems(report.poems, vocab)
     if removed:
@@ -203,7 +209,7 @@ def cmd_bleu(args):
 
 def cmd_embed(args):
     _check_writable(args.out)
-    report = parse_corpus(args.corpus)
+    report = _parse_corpus(args.corpus)
     if not report.poems:
         raise CorpusError("corpus %s yielded no poems" % args.corpus)
     stream = [c for p in report.poems for c in p.chars()]
@@ -292,7 +298,7 @@ def _apply_env_config(ap, sub):
     path = os.environ.get("QGEN_CONFIG")
     if not path:
         return
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError("QGEN_CONFIG %s must hold a JSON object" % path)

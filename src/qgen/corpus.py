@@ -1,9 +1,9 @@
 """Corpus ingestion: poem parsing, character vocabulary, training sequences.
 
 Corpus file format: UTF-8 text, one poem per line, lines separated by `|`,
-lines starting with `#` are comments. A quatrain has exactly 4 lines of 5
-characters (FiveChar) or 7 characters (SevenChar), none of them whitespace;
-genre is inferred.
+lines starting with `#` are comments; a leading byte-order mark is dropped.
+A quatrain has exactly 4 lines of 5 characters (FiveChar) or 7 characters
+(SevenChar), none of them whitespace; genre is inferred.
 """
 
 from collections import Counter
@@ -72,7 +72,7 @@ def parse_corpus(path, genre_filter=None):
     form feed inside a record does not start another.
     """
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             raw = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise CorpusError("cannot read corpus %s: %s" % (path, e)) from e

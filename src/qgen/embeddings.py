@@ -6,6 +6,7 @@ reference implementation is single threaded and bit-reproducible under a fixed
 seed.
 """
 
+import codecs
 import math
 from itertools import groupby
 from operator import itemgetter
@@ -58,11 +59,11 @@ class EmbeddingMatrix:
         """Read a `save_text` file; a malformed one raises ValueError naming
         the path and line. A non-finite value, a character given a second
         row, a row past the declared count or a byte that is not UTF-8 is
-        malformed."""
+        malformed. A leading byte-order mark is dropped."""
         line_of, rows, lineno = {}, [], 1
         try:
             with open(path, "rb") as f:     # lines decode one by one, so a bad byte names its own
-                lines = f.read().rstrip(b"\n").split(b"\n")
+                lines = f.read().removeprefix(codecs.BOM_UTF8).rstrip(b"\n").split(b"\n")
             n, d = (int(x) for x in lines[0].decode("utf-8").split())
             if n < 1 or d < 1:
                 raise ValueError("row count and dimension must be positive")

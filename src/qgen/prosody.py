@@ -58,11 +58,12 @@ class ToneDict:
 
 def read_lines(path):
     """The lines of a UTF-8 text file, or of a packaged Traversable that may lie
-    inside a zip; ProsodyError names the path otherwise."""
+    inside a zip, a leading byte-order mark dropped; ProsodyError names the
+    path otherwise."""
     try:
         if hasattr(path, "read_text"):
-            return path.read_text(encoding="utf-8").split("\n")
-        with open(path, encoding="utf-8") as f:
+            return path.read_text(encoding="utf-8-sig").split("\n")
+        with open(path, encoding="utf-8-sig") as f:
             return f.read().split("\n")
     except (OSError, UnicodeDecodeError) as e:
         raise ProsodyError("cannot read %s: %s" % (path, e)) from e

@@ -12,13 +12,15 @@ its loss and gradients in float32 on a fresh copy of the masters, which halves
 the bytes every product streams, and its step updates the masters in float64,
 so that updates smaller than a float32 ulp of a weight still accumulate.
 
-Checkpoint container, version 4: magic `QGEN`, u32 version, u64 header
-length, JSON header, then length-prefixed named tensors as little-endian
-float32 (`<f4`): the model parameters and genre indicators, which generation
-reads. The header holds the hyper parameters and the vocabulary as its
-characters in id order after the reserved tokens. It holds no optimizer
-state, so training cannot resume from a checkpoint. A checkpoint is read only
-to generate, so it is where a model to generate turns float32.
+Checkpoint container, version 5: magic `QGEN`, u32 version, u64 header
+length, JSON header, then the tensors' little-endian float32 (`<f4`) bytes in
+C order, back to back in name order: the model parameters and genre
+indicators, which generation reads. The header's `tensors` maps each name to
+its shape, in the same order. The header also holds the hyper parameters and
+the vocabulary as its characters in id order after the reserved tokens. It
+holds no optimizer state, so training cannot resume from a checkpoint. A
+checkpoint is read only to generate, so it is where a model to generate turns
+float32.
 """
 
 import json
@@ -195,7 +197,7 @@ def train(examples, mparams, config, stop_below_loss=None, log_fn=None):
 # ---------------------------------------------------------------------------
 
 MAGIC = b"QGEN"
-VERSION = 4
+VERSION = 5
 HEADER_FIELDS = ("hyper", "step", "train_seed", "vocab", "tensors")
 
 
@@ -208,35 +210,7 @@ def _write_tensor(f, name, arr):
         data = np.ascontiguousarray(arr, dtype="<f4")
     if (np.isinf(data) & np.isfinite(arr)).any():
         raise CheckpointError("tensor %r holds a finite value beyond float32 range" % name)
-    nb = name.encode("utf-8")
-    f.write(struct.pack("<I", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<I", data.ndim))
-    for dim in data.shape:
-        f.write(struct.pack("<Q", dim))
     f.write(data.tobytes())
-
-
-class _Reader:
-    """Reads an open checkpoint file into fresh buffers (`make(n)`), checking
-    each length against what is left of the file before allocating."""
-
-    def __init__(self, f):
-        self.f = f
-        self.off = 0
-        self.size = os.fstat(f.fileno()).st_size
-
-    def take(self, n, what, make=bytearray):
-        if n > self.size - self.off:
-            raise CheckpointError("truncated checkpoint: need %d bytes for %s at offset %d"
-                                  % (n, what, self.off))
-        self.off += n
-        buf = make(n)
-        self.f.readinto(buf)
-        return buf
-
-    def uint(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def for_generation(name, arr):
@@ -261,26 +235,23 @@ def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
     float32 range raises CheckpointError; NaN and inf are written as they
     are, and `load_checkpoint` refuses them.
     """
-    out = dict(mparams.tensors)
-    out["ind.5"] = mparams.indicators[Genre.FIVE_CHAR]
-    out["ind.7"] = mparams.indicators[Genre.SEVEN_CHAR]
-    names = sorted(out)
+    out = {**mparams.tensors, "ind.5": mparams.indicators[Genre.FIVE_CHAR],
+           "ind.7": mparams.indicators[Genre.SEVEN_CHAR]}
     header = {
         "hyper": asdict(mparams.cfg),
         "step": step,
         "train_seed": train_seed,
         "vocab": vocab.chars[N_RESERVED:],
-        "tensors": names,
+        "tensors": {name: list(np.shape(out[name])) for name in sorted(out)},
     }
     hb = json.dumps(header, ensure_ascii=False).encode("utf-8")
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "wb") as f:
             f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            f.write(struct.pack("<Q", len(hb)))
+            f.write(struct.pack("<IQ", VERSION, len(hb)))
             f.write(hb)
-            for name in names:
+            for name in header["tensors"]:
                 _write_tensor(f, name, out[name])
         os.replace(tmp, path)
     finally:
@@ -288,50 +259,14 @@ def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):
             os.remove(tmp)
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelParams, None, Vocab, step, train_seed).
-
-    The None held the AdaDelta state in version 1; it stays for callers that unpack five.
-    A checkpoint is only read to generate, so each tensor is read straight into a
-    float32 buffer and laid out as `for_generation` says.
-    """
-    with open(path, "rb") as f:
-        r = _Reader(f)
-        if r.take(4, "magic") != MAGIC:
-            raise CheckpointError("bad magic at offset 0: not a qgen checkpoint")
-        version = r.uint("<I", "version")
-        if version != VERSION:
-            raise CheckpointError("checkpoint version %d unsupported (expected %d)"
-                                  % (version, VERSION))
-        hlen = r.uint("<Q", "header length")
-        try:
-            header = json.loads(r.take(hlen, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-            raise CheckpointError("corrupt header at offset 16: %s" % e) from e
-        if not isinstance(header, dict):
-            raise CheckpointError("checkpoint header is not a JSON object")
-        missing = [k for k in HEADER_FIELDS if k not in header]
-        if missing:
-            raise CheckpointError("checkpoint header lacks %s" % ", ".join(missing))
-        if not isinstance(header["tensors"], list):
-            raise CheckpointError("checkpoint header 'tensors' is not a list")
-        tensors = {}
-        for expected in header["tensors"]:
-            nlen = r.uint("<I", "tensor name length")
-            name = r.take(nlen, "tensor name").decode("utf-8", "replace")
-            if name != expected:
-                raise CheckpointError("tensor order mismatch at offset %d: %r vs %r"
-                                      % (r.off, name, expected))
-            ndim = r.uint("<I", "rank")
-            shape = tuple(r.uint("<Q", "dim") for _ in range(ndim))
-            data = r.take(4 * math.prod(shape), "tensor %r data" % name,
-                          lambda n: np.empty(shape, dtype="<f4"))
-            if not np.isfinite(data).all():
-                raise CheckpointError("tensor %r holds a non-finite value" % name)
-            tensors[name] = for_generation(name, data)
-        if r.off != r.size:
-            raise CheckpointError("trailing bytes at offset %d" % r.off)
-
+def _check_header(header):
+    """The model config, vocabulary and tensor shapes (in the order of the
+    file's data) that a version-5 header describes, or CheckpointError."""
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint header is not a JSON object")
+    missing = [k for k in HEADER_FIELDS if k not in header]
+    if missing:
+        raise CheckpointError("checkpoint header lacks %s" % ", ".join(missing))
     hyper = header["hyper"]
     hyper_types = {f.name: f.type for f in fields(ModelConfig)}
     if not isinstance(hyper, dict) or any(type(v) is not hyper_types.get(k)
@@ -340,21 +275,9 @@ def load_checkpoint(path):
                               "a bool, keys %s" % (hyper, ", ".join(hyper_types)))
     try:
         cfg = ModelConfig(**hyper)
-        shapes = param_shapes(cfg)
+        shapes = {**param_shapes(cfg), "ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
     except (TypeError, ValueError) as e:
         raise CheckpointError("bad hyper parameters %r: %s" % (hyper, e)) from e
-    want = {**shapes, "ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
-    if set(tensors) != set(want):
-        raise CheckpointError("tensors missing %s, unexpected %s"
-                              % (sorted(set(want) - set(tensors)),
-                                 sorted(set(tensors) - set(want))))
-    for name, shape in want.items():
-        if tensors[name].shape != shape:
-            raise CheckpointError("tensor %r has shape %s, hyper parameters give %s"
-                                  % (name, tensors[name].shape, shape))
-
-    indicators = {Genre.FIVE_CHAR: tensors["ind.5"], Genre.SEVEN_CHAR: tensors["ind.7"]}
-    mparams = ModelParams(cfg, {k: tensors[k] for k in shapes}, indicators)
     chars = header["vocab"]
     if (not isinstance(chars, list) or len(chars) != cfg.vocab_size - N_RESERVED
             or any(type(c) is not str or len(c) != 1 or c.isspace() for c in chars)
@@ -362,4 +285,62 @@ def load_checkpoint(path):
         raise CheckpointError("bad vocabulary in header: want a list of %d distinct "
                               "non-whitespace characters, those of ids %d..%d"
                               % (cfg.vocab_size - N_RESERVED, N_RESERVED, cfg.vocab_size - 1))
-    return mparams, None, Vocab(chars), header["step"], header["train_seed"]
+    want = {name: list(shapes[name]) for name in sorted(shapes)}
+    # The hyper parameters alone give every shape, but a code change could
+    # rename or transpose a tensor without a new VERSION, and a transposed
+    # matrix has the same byte count: the header's shapes are what catch it.
+    got = header["tensors"]
+    if got != want:
+        got = got if isinstance(got, dict) else {}
+        raise CheckpointError("header tensors disagree with the hyper parameters: missing %s, "
+                              "unexpected %s, other shape %s"
+                              % (sorted(want.keys() - got), sorted(got.keys() - want),
+                                 sorted(k for k in want if k in got and got[k] != want[k])))
+    return cfg, Vocab(chars), want
+
+
+def load_checkpoint(path):
+    """Read a checkpoint; returns (ModelParams, None, Vocab, step, train_seed).
+
+    The None held the AdaDelta state in version 1; it stays for callers that unpack five.
+    The whole header, and the byte count it implies, is checked before any tensor
+    buffer is allocated. A checkpoint is only read to generate, so each tensor is
+    read straight into a float32 buffer and laid out as `for_generation` says.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(16)
+        if head[:4] != MAGIC:
+            raise CheckpointError("bad magic at offset 0: not a qgen checkpoint")
+        if len(head) < 16:
+            raise CheckpointError("truncated checkpoint: need 16 bytes for the version "
+                                  "and header length at offset 0, file has %d" % size)
+        version, hlen = struct.unpack("<IQ", head[4:])
+        if version != VERSION:
+            raise CheckpointError("checkpoint version %d unsupported (expected %d)"
+                                  % (version, VERSION))
+        if hlen > size - 16:
+            raise CheckpointError("truncated checkpoint: need %d bytes for the header "
+                                  "at offset 16, file has %d" % (hlen, size))
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+            raise CheckpointError("corrupt header at offset 16: %s" % e) from e
+        cfg, vocab, shapes = _check_header(header)
+        at, need = 16 + hlen, 4 * sum(math.prod(s) for s in shapes.values())
+        if need > size - at:
+            raise CheckpointError("truncated checkpoint: need %d bytes for the tensors "
+                                  "at offset %d, file has %d" % (need, at, size))
+        if need < size - at:
+            raise CheckpointError("trailing bytes at offset %d" % (at + need))
+        tensors = {}
+        for name, shape in shapes.items():
+            data = np.empty(shape, dtype="<f4")
+            f.readinto(data)
+            if not np.isfinite(data).all():
+                raise CheckpointError("tensor %r holds a non-finite value" % name)
+            tensors[name] = for_generation(name, data)
+
+    indicators = {Genre.FIVE_CHAR: tensors["ind.5"], Genre.SEVEN_CHAR: tensors["ind.7"]}
+    mparams = ModelParams(cfg, {k: tensors[k] for k in param_shapes(cfg)}, indicators)
+    return mparams, None, vocab, header["step"], header["train_seed"]

@@ -1,5 +1,6 @@
 """End-to-end CLI runs through main(): exit codes, outputs, manifests."""
 
+import codecs
 import json
 import os
 import subprocess
@@ -336,6 +337,14 @@ def test_bleu_fixture(workdir, capsys):
                             "zero_precision"]
 
 
+def test_bleu_ignores_byte_order_mark(workdir, capsys):
+    (workdir / "h.txt").write_bytes(codecs.BOM_UTF8 + "白日依山尽|黄河入海流\n".encode("utf-8"))
+    (workdir / "r.txt").write_text("白日依山尽黄河入海流\n", encoding="utf-8")
+    assert main(["bleu", "--hyp", "h.txt", "--refs", "r.txt"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["bleu"] == 1.0 and report["hyp_len"] == 10
+
+
 def test_bleu_empty_hypothesis_scores_zero(workdir, capsys):
     (workdir / "h.txt").write_text("|\n", encoding="utf-8")
     (workdir / "r.txt").write_text(FIVE + "\n", encoding="utf-8")
@@ -370,6 +379,20 @@ def test_embed_and_reuse(workdir, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv", [
+    ["embed", "--corpus", "c.txt", "--out", "emb.txt", "--d", "4", "--window", "1"],
+    ["train", "--corpus", "c.txt", "--genre", "5", "--epochs", "1",
+     "--d", "4", "--H", "4", "--H-dec", "4", "--out", "m.ckpt"],
+], ids=lambda argv: argv[0])
+def test_skipped_corpus_records_are_named(workdir, capsys, argv):
+    (workdir / "c.txt").write_text("\n".join([FIVE, "月黑雁飞高", FIVE]) + "\n",
+                                   encoding="utf-8")
+    assert main(argv) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "skipped 1 malformed records" in err
+    assert "record 2: expected 4 lines, got 1" in err
+
+
 def test_qgen_config_env_defaults(workdir, trained, capsys, monkeypatch):
     cfg = workdir / "defaults.json"
     cfg.write_text(json.dumps({"seed": 5, "beam": 1}), encoding="utf-8")
@@ -384,6 +407,15 @@ def test_qgen_config_env_defaults(workdir, trained, capsys, monkeypatch):
                  "--genre", "5", "--seed", "9"]) == EXIT_OK
     manifest = json.loads((workdir / "generate.manifest.json").read_text())
     assert manifest["seeds"]["seed"] == 9
+
+
+def test_qgen_config_ignores_byte_order_mark(workdir, trained, monkeypatch):
+    cfg = workdir / "defaults.json"
+    cfg.write_bytes(codecs.BOM_UTF8 + json.dumps({"seed": 5}).encode("utf-8"))
+    monkeypatch.setenv("QGEN_CONFIG", str(cfg))
+    assert main(["generate", "--checkpoint", trained, "--keywords", "月黑雁飞高",
+                 "--genre", "5", "--beam", "1"]) == EXIT_OK
+    assert json.loads((workdir / "generate.manifest.json").read_text())["seeds"]["seed"] == 5
 
 
 @pytest.mark.parametrize("cfg", [

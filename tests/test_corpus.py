@@ -1,9 +1,12 @@
 """Corpus parsing, vocabulary, and training sequence construction."""
 
+import codecs
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from conftest import data_path
 from qgen.corpus import (BOS, EOS, N_RESERVED, PAD, RESERVED, SEP, UNK, CorpusError,
                          Genre, Poem, Vocab, build_training_sequence, build_vocab,
                          filter_poems, parse_corpus)
@@ -49,6 +52,18 @@ def test_parse_rejects_malformed_records(tmp_path):
     assert report.rejected == 3
     assert all("record" in r for r in report.reasons)
     assert report.reasons[2] == "record 3: line 1 has whitespace"
+
+
+def test_parse_ignores_byte_order_mark(tmp_path):
+    """A leading BOM, as Windows editors write one, hides neither a first
+    comment nor a first poem."""
+    bom = tmp_path / "bom.txt"
+    for text in [Path(data_path("overfit_corpus.txt")).read_text(encoding="utf-8"),
+                 "%s\n%s\n" % (FIVE, SEVEN)]:
+        bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        report = parse_corpus(str(bom))
+        assert report == parse_corpus(write_corpus(tmp_path, text))
+        assert report.rejected == 0 and report.poems
 
 
 def test_parse_genre_filter(tmp_path):

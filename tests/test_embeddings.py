@@ -1,5 +1,7 @@
 """Skip-gram pretraining: pair enumeration, gradients, reproducibility."""
 
+import codecs
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,20 @@ def test_save_load_roundtrip(tmp_path):
     loaded = EmbeddingMatrix.load_text(str(path))
     assert loaded.chars == emb.chars
     np.testing.assert_array_equal(loaded.matrix, emb.matrix)
+
+
+def test_load_text_ignores_byte_order_mark(tmp_path):
+    emb = train_skipgram(list("白日依山尽黄河入海流" * 3), window=2, d=3, negatives=2, seed=0)
+    plain, bom = tmp_path / "emb.txt", tmp_path / "bom.txt"
+    emb.save_text(str(plain))
+    bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    loaded = EmbeddingMatrix.load_text(str(bom))
+    assert loaded.chars == emb.chars
+    np.testing.assert_array_equal(loaded.matrix, emb.matrix)
+    # a bad byte still names its own line
+    bom.write_bytes(codecs.BOM_UTF8 + b"2 2\na 0.5 0.25\n\xff 0.25 0.5\n")
+    with pytest.raises(ValueError, match="bom.txt line 3: 'utf-8' codec can't decode"):
+        EmbeddingMatrix.load_text(str(bom))
 
 
 def test_copy_into_copies_pretrained_rows():

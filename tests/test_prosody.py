@@ -1,7 +1,9 @@
 """Tonal templates, rhyme groups, and the compliance report."""
 
+import codecs
 import logging
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from conftest import data_path
 from qgen.corpus import Genre
 from qgen.prosody import (ProsodyError, StructureError, Tone,
                           compliance_report, load_templates, load_tone_dict,
-                          match_tonal_template, templates_for,
+                          match_tonal_template, read_lines, templates_for,
                           validate_rhyme, validate_structure)
 
 POEM = ["月黑雁飞高", "单于夜遁逃", "欲将轻骑逐", "大雪满弓刀"]
@@ -57,6 +59,21 @@ def test_loaders_name_path_of_unreadable_file(tmp_path, loader):
     bad.write_bytes("月\tZ\tie\n".encode("gbk"))
     with pytest.raises(ProsodyError, match="gbk.txt"):
         loader(str(bad))
+
+
+@pytest.mark.parametrize("name", ["tone_dict.tsv", "templates.txt"])
+def test_loaders_ignore_byte_order_mark(tmp_path, name):
+    """A BOM-prefixed copy of a packaged file reads as the file itself, through
+    a path and through a Traversable such as a packaged file is."""
+    bom = tmp_path / name
+    bom.write_bytes(codecs.BOM_UTF8 + Path(data_path(name)).read_bytes())
+    plain = read_lines(data_path(name))
+    assert read_lines(str(bom)) == read_lines(bom) == plain
+    if name == "tone_dict.tsv":
+        loaded, want = load_tone_dict(str(bom)), load_tone_dict(data_path(name))
+        assert (loaded.tones, loaded.groups) == (want.tones, want.groups)
+    else:
+        assert load_templates(str(bom)) == load_templates(data_path(name))
 
 
 def test_tone_dict_duplicate_last_wins(tmp_path, caplog):

@@ -11,8 +11,8 @@ import pytest
 from conftest import BAD_HEADERS, edit_checkpoint_header, laid_out_for_generation
 from qgen import numerics as nm
 from qgen.corpus import BOS, N_RESERVED, Genre, Poem, build_training_sequence, build_vocab
-from qgen.model import (ModelConfig, ModelParams, decode_step, encode,
-                        init_decoder_state)
+from qgen.model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_step, encode,
+                        init_decoder_state, param_shapes)
 from qgen.training import (VERSION, CheckpointError, GenreMode, TrainConfig,
                            _check_genre_mode, _genre_pure_batches, _teacher_forced,
                            _write_tensor, batch_loss, for_generation, load_checkpoint,
@@ -299,7 +299,12 @@ def test_checkpoint_roundtrip(tmp_path, setup):
         blob = f.read()
     hlen = struct.unpack("<Q", blob[8:16])[0]
     header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-    assert header["tensors"] == sorted([*mp.tensors, "ind.5", "ind.7"])
+    # every tensor's shape, in name order, and then only their float32 bytes
+    shapes = {**{k: v.shape for k, v in mp.tensors.items()},
+              "ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
+    assert list(header["tensors"]) == sorted(shapes)
+    assert header["tensors"] == {k: list(s) for k, s in shapes.items()}
+    assert len(blob) == 16 + hlen + 4 * sum(int(np.prod(s)) for s in shapes.values())
     # the vocabulary as its characters in id order, and no attention-size key
     assert header["vocab"] == [vocab.char(i) for i in range(N_RESERVED, len(vocab))]
     assert list(header["hyper"]) == ["vocab_size", "d", "H", "H_dec",
@@ -313,7 +318,7 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     np.testing.assert_array_equal(l1, l2)
 
 
-def test_checkpoint_corruption_errors(tmp_path, setup):
+def test_checkpoint_corruption_errors(tmp_path, setup, monkeypatch):
     _, vocab, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
     path = tmp_path / "model.ckpt"
@@ -333,22 +338,12 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(str(bad))
 
-    assert struct.unpack("<I", blob[4:8])[0] == VERSION == 4
-    for version in (1, 2, 3, 99):
+    assert struct.unpack("<I", blob[4:8])[0] == VERSION == 5
+    for version in (1, 2, 3, 4, 99):
         bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
         with pytest.raises(CheckpointError, match="version %d unsupported \\(expected %d\\)"
                            % (version, VERSION)):
             load_checkpoint(str(bad))
-
-    # first tensor's dims set to 2**32 each: their product overflows int64
-    hlen = struct.unpack("<Q", blob[8:16])[0]
-    nlen = struct.unpack("<I", blob[16 + hlen:20 + hlen])[0]
-    at = 20 + hlen + nlen
-    ndim = struct.unpack("<I", blob[at:at + 4])[0]
-    assert ndim == 2
-    bad.write_bytes(blob[:at + 4] + struct.pack("<QQ", 2**32, 2**32) + blob[at + 20:])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(str(bad))
 
     bad.write_bytes(blob[:8] + struct.pack("<Q", 2**63) + blob[16:])
     with pytest.raises(CheckpointError, match="truncated"):
@@ -359,10 +354,31 @@ def test_checkpoint_corruption_errors(tmp_path, setup):
     with pytest.raises(CheckpointError, match="corrupt header"):
         load_checkpoint(str(bad))
 
-    # first tensor name no longer UTF-8
-    bad.write_bytes(blob[:20 + hlen] + b"\xff" + blob[21 + hlen:])
-    with pytest.raises(CheckpointError, match="order mismatch"):
+    # one matrix listed transposed: the same byte count, but not the model's layout
+    def transpose(h):
+        h["tensors"]["attn_h.U"].reverse()
+        return h
+    bad.write_bytes(edit_checkpoint_header(blob, transpose))
+    with pytest.raises(CheckpointError, match="other shape \\['attn_h.U'\\]"):
         load_checkpoint(str(bad))
+
+    # hyper parameters and shapes that agree on a huge model: refused by the
+    # byte count before any tensor buffer is allocated
+    def huge(h):
+        h["hyper"]["d"] = 10**6
+        shapes = {**param_shapes(ModelConfig(**h["hyper"])),
+                  "ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
+        h["tensors"] = {k: list(shapes[k]) for k in sorted(shapes)}
+        return h
+    bad.write_bytes(edit_checkpoint_header(blob, huge))
+    allocated = []
+    empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda *a, **k: allocated.append(a) or empty(*a, **k))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(str(bad))
+    assert allocated == []
+    load_checkpoint(str(path))          # the loader's buffers do come from np.empty
+    assert len(allocated) == len(mp.tensors) + 2
 
 
 def _drop_tensor(mp):
