@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, is_dataclass
 from importlib import resources
 
@@ -92,13 +91,15 @@ def _emit(record, file=None):
           file=file, flush=True)
 
 
-def _check_writable(path):
-    """Fail now, with open()'s own error, if `path` could not be written once
-    the command has run; the empty file this may create is removed again."""
-    existed = os.path.lexists(path)
-    open(path, "a").close()
-    if not existed:
-        os.remove(path)
+def _check_writable(args):
+    """Fail now, with open()'s own error, if the manifest or an output the
+    command declares could not be written once it has run; an empty file this
+    creates is removed again, and an existing one keeps its bytes."""
+    for path in filter(None, [_manifest_path(args), *(getattr(args, k) for k in args.outputs)]):
+        existed = os.path.lexists(path)
+        open(path, "a").close()
+        if not existed:
+            os.remove(path)
 
 
 def _load_rules(args):
@@ -121,7 +122,6 @@ def _parse_corpus(path, genre_filter=None):
 # ---------------------------------------------------------------------------
 
 def cmd_train(args):
-    _check_writable(args.out)
     report = _parse_corpus(args.corpus, genre_filter=GENRES.get(args.genre))
     vocab = build_vocab(report.poems, min_count=args.min_count)
     poems, removed = filter_poems(report.poems, vocab)
@@ -155,10 +155,9 @@ def cmd_generate(args):
                      beam_width=args.beam, tone=not args.no_tone,
                      rhyme=not args.no_rhyme, seed=args.seed,
                      sep_keywords=args.sep_keywords)
-    # the log opens before decoding, so a bad --log path fails before any poem is printed
-    with open(args.log, "w", encoding="utf-8") if args.log else nullcontext() as log:
-        poem, records = beam_search_generate(req, mparams, vocab, rules)
-        if log:
+    poem, records = beam_search_generate(req, mparams, vocab, rules)
+    if args.log:                        # before the poem: no poem unless the log was written
+        with open(args.log, "w", encoding="utf-8") as log:
             for rec in records:
                 _emit(rec, file=log)
     for line in poem.lines:
@@ -208,7 +207,6 @@ def cmd_bleu(args):
 
 
 def cmd_embed(args):
-    _check_writable(args.out)
     report = _parse_corpus(args.corpus)
     if not report.poems:
         raise CorpusError("corpus %s yielded no poems" % args.corpus)
@@ -345,7 +343,7 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0,) else 0
     started = time.monotonic()
     try:
-        _check_writable(_manifest_path(args))   # so no output precedes a manifest failure
+        _check_writable(args)           # so no output precedes a failure to write one
         code = args.func(args)
         _manifest(args, started)        # only a command that returned has a manifest
         return code

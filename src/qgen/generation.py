@@ -132,6 +132,8 @@ def beam_search_generate(req, mparams, vocab, rules):
 
     Deterministic given req.seed; the seed only breaks exact score ties.
     """
+    if len(vocab) <= N_RESERVED:
+        raise GenerationError("the vocabulary holds no characters to generate")
     if req.tone:
         bindings = templates_for(rules.templates, req.genre)
         if not bindings:
@@ -180,8 +182,10 @@ def beam_search_generate(req, mparams, vocab, rules):
             if relaxed[b]:
                 step_rec.setdefault("relaxations", []).extend(relaxed[b])
             k = min(req.beam_width, int((masked > 0).sum()))
-            pool += [(hyp.logp + float(np.log(masked[idx])), b, int(idx))
-                     for idx in np.argsort(masked)[::-1][:k]]
+            if k:                       # the k largest, equal probabilities by ascending id
+                ids = np.flatnonzero(masked >= np.partition(masked, -k)[-k])
+                pool += [(hyp.logp + float(np.log(masked[idx])), b, int(idx))
+                         for idx in ids[np.lexsort((ids, -masked[ids]))[:k]]]
         if not pool:
             raise GenerationError("beam exhausted at step %d" % step)
         tie = rng.random(len(pool))

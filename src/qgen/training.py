@@ -267,6 +267,12 @@ def _check_header(header):
     missing = [k for k in HEADER_FIELDS if k not in header]
     if missing:
         raise CheckpointError("checkpoint header lacks %s" % ", ".join(missing))
+    if type(header["step"]) is not int or header["step"] < 0:
+        raise CheckpointError("bad step in header: want a non-negative int, got %.40r"
+                              % (header["step"],))
+    if type(header["train_seed"]) is not int:
+        raise CheckpointError("bad train_seed in header: want an int, got %.40r"
+                              % (header["train_seed"],))
     hyper = header["hyper"]
     hyper_types = {f.name: f.type for f in fields(ModelConfig)}
     if not isinstance(hyper, dict) or any(type(v) is not hyper_types.get(k)
@@ -278,6 +284,9 @@ def _check_header(header):
         shapes = {**param_shapes(cfg), "ind.5": (INDICATOR_DIM,), "ind.7": (INDICATOR_DIM,)}
     except (TypeError, ValueError) as e:
         raise CheckpointError("bad hyper parameters %r: %s" % (hyper, e)) from e
+    if cfg.vocab_size <= N_RESERVED:
+        raise CheckpointError("bad vocabulary in header: it holds no characters "
+                              "(vocab_size %d, %d ids reserved)" % (cfg.vocab_size, N_RESERVED))
     chars = header["vocab"]
     if (not isinstance(chars, list) or len(chars) != cfg.vocab_size - N_RESERVED
             or any(type(c) is not str or len(c) != 1 or c.isspace() for c in chars)

@@ -55,6 +55,10 @@ def laid_out_for_generation(mparams):
 BAD_HEADERS = {
     "not an object": (lambda h: [h], "not a JSON object"),
     "missing field": (lambda h: {k: v for k, v in h.items() if k != "step"}, "lacks step"),
+    "dict step": (lambda h: {**h, "step": {"x": [1]}}, "bad step"),
+    "boolean step": (lambda h: {**h, "step": True}, "bad step"),
+    "negative step": (lambda h: {**h, "step": -1}, "bad step"),
+    "null train_seed": (lambda h: {**h, "train_seed": None}, "bad train_seed"),
     "unknown hyper key": (lambda h: {**h, "hyper": {**h["hyper"], "colour": 1}},
                           "hyper parameters"),
     "hyper over other shapes": (lambda h: {**h, "hyper": {**h["hyper"], "d": 7}},
@@ -75,6 +79,7 @@ BAD_HEADERS = {
 BAD_EMBEDDINGS = {
     "empty": ("", "line 1"),
     "bad header": ("2 two\n", "line 1"),
+    "no rows": ("0 4\n", "line 1"),
     "truncated": ("3 2\na 0.5 0.25\n", "line 3"),
     "wrong width": ("2 2\na 0.5 0.25\nb 0.5\n", "line 3"),
     "not a number": ("1 2\na 0.5 x\n", "line 2"),

@@ -105,6 +105,24 @@ def test_out_of_memory_is_one_line_failure(workdir, capsys, command):
     assert not (workdir / (command + ".manifest.json")).exists()
 
 
+def test_train_with_no_known_character_is_one_line_failure(workdir, capsys):
+    (workdir / "five.txt").write_text(FIVE + "\n", encoding="utf-8")
+    assert main(["train", "--corpus", "five.txt", "--genre", "5", "--min-count", "9",
+                 "--epochs", "1", "--d", "2", "--H", "2", "--H-dec", "2"]) == EXIT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["dropped 1 all-unknown poems",
+                   "qgen: corpus five.txt yielded no usable poems"]
+    assert os.listdir(workdir) == ["five.txt"]
+
+
+def test_embed_with_no_wellformed_record_is_one_line_failure(workdir, capsys):
+    (workdir / "c.txt").write_text("月黑雁飞高\n", encoding="utf-8")
+    assert main(["embed", "--corpus", "c.txt", "--d", "2", "--window", "1"]) == EXIT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "qgen: corpus c.txt yielded no poems"
+    assert os.listdir(workdir) == ["c.txt"]
+
+
 @pytest.mark.parametrize("case", sorted(BAD_EMBEDDINGS))
 def test_train_malformed_embeddings_is_one_line_failure(workdir, capsys, case):
     text, line = BAD_EMBEDDINGS[case]
@@ -171,6 +189,21 @@ def test_generate_unwritable_log_prints_no_poem(workdir, trained, capsys):
     assert out == ""
     assert err.startswith("qgen: ") and len(err.splitlines()) == 1
     assert not (workdir / "generate.manifest.json").exists()
+
+
+def test_failed_generate_leaves_the_log_untouched(workdir, trained, capsys):
+    """The search fails (no seven-character template) after the log path was
+    checked: an existing log keeps its bytes, and no file appears at a new path."""
+    with open(data_path("templates.txt"), encoding="utf-8") as f:
+        (workdir / "five.txt").write_text(f.read().split("# wu_2")[0], encoding="utf-8")
+    (workdir / "beam.jsonl").write_text("keep\n", encoding="utf-8")
+    for log in ("beam.jsonl", "new.jsonl"):
+        assert main(["generate", "--checkpoint", trained, "--keywords", "月", "--genre", "7",
+                     "--templates", "five.txt", "--log", log]) == EXIT_FAILURE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "qgen: no tonal templates for genre SEVEN_CHAR\n"
+    assert (workdir / "beam.jsonl").read_text(encoding="utf-8") == "keep\n"
+    assert sorted(os.listdir(workdir)) == ["beam.jsonl", "five.txt"]
 
 
 def test_generate_seven_char(workdir, trained, capsys):
@@ -358,6 +391,13 @@ def test_bleu_empty_hypothesis_scores_zero(workdir, capsys):
     assert report["zero_precision"]
 
 
+def test_bleu_rejects_two_hypotheses(workdir, capsys):
+    (workdir / "h.txt").write_text("AABB\nABBC\n", encoding="utf-8")
+    assert main(["bleu", "--hyp", "h.txt", "--refs", "h.txt"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err == "qgen: hypothesis file must hold exactly one sequence, got 2\n"
+
+
 def test_bleu_rejects_empty_refs(workdir, capsys):
     (workdir / "h.txt").write_text("AABB\n", encoding="utf-8")
     (workdir / "r.txt").write_text("# nothing\n", encoding="utf-8")
@@ -416,6 +456,15 @@ def test_qgen_config_ignores_byte_order_mark(workdir, trained, monkeypatch):
     assert main(["generate", "--checkpoint", trained, "--keywords", "月黑雁飞高",
                  "--genre", "5", "--beam", "1"]) == EXIT_OK
     assert json.loads((workdir / "generate.manifest.json").read_text())["seeds"]["seed"] == 5
+
+
+def test_qgen_config_null_keeps_a_none_default(workdir, trained, monkeypatch):
+    (workdir / "defaults.json").write_text(json.dumps({"log": None}), encoding="utf-8")
+    monkeypatch.setenv("QGEN_CONFIG", str(workdir / "defaults.json"))
+    assert main(["generate", "--checkpoint", trained, "--keywords", "月黑雁飞高",
+                 "--genre", "5", "--beam", "1"]) == EXIT_OK
+    manifest = json.loads((workdir / "generate.manifest.json").read_text())
+    assert manifest["config"]["log"] is None and manifest["outputs"] == []
 
 
 @pytest.mark.parametrize("cfg", [

@@ -292,8 +292,8 @@ def per_hypothesis_beam(req, mparams, vocab, rules):
                 if relax:
                     rec.setdefault("relaxations", []).extend(relax)
                 k = min(req.beam_width, int((masked > 0).sum()))
-                cands = [(int(i), hyp["logp"] + float(np.log(masked[i])))
-                         for i in np.argsort(masked)[::-1][:k]]
+                ranked = sorted(range(len(masked)), key=lambda i: (-masked[i], i))
+                cands = [(i, hyp["logp"] + float(np.log(masked[i]))) for i in ranked[:k]]
             for idx, logp in cands:
                 group = hyp["group"]
                 if line == 1 and pos == req.genre.value - 1:
@@ -436,6 +436,17 @@ def test_batched_beam_equals_per_hypothesis_loop_under_relaxation(world, dropped
         (1, genre.value - 1), (3, genre.value - 1)}
 
 
+def test_equal_probabilities_rank_by_ascending_id(world):
+    """Under the uniform "model" fallback every character is equally likely,
+    and beam 1 takes the lowest character id at every position."""
+    vocab = world[0]
+    mparams, rules = relaxing_setup(world, "model")
+    req = GenRequest(keywords="月黑雁飞高", genre=Genre.FIVE_CHAR, beam_width=1,
+                     tone=False, rhyme=False)
+    poem, _ = beam_search_generate(req, mparams, vocab, rules)
+    assert poem.lines == [vocab.char(N_RESERVED) * 5] * 4
+
+
 def test_unknown_keyword_char_warns_and_proceeds(world, caplog):
     vocab, mparams, rules = world
     req = GenRequest(keywords="月黑瞾飞高", genre=Genre.FIVE_CHAR, beam_width=1, seed=1)
@@ -463,6 +474,16 @@ def test_no_templates_for_genre_errors(world):
     req = GenRequest(keywords="月黑雁飞高", genre=Genre.FIVE_CHAR, tone=True)
     with pytest.raises(GenerationError):
         beam_search_generate(req, mparams, vocab, bare)
+
+
+def test_vocabulary_without_characters_errors_before_decoding(monkeypatch):
+    vocab = build_vocab([])
+    mparams = ModelParams.initialize(ModelConfig(vocab_size=len(vocab), d=4, H=4, H_dec=4))
+    monkeypatch.setattr("qgen.generation.encode",
+                        lambda *a, **k: pytest.fail("decoding started"))
+    req = GenRequest(keywords="月", genre=Genre.FIVE_CHAR, tone=False, rhyme=False)
+    with pytest.raises(GenerationError, match="no characters"):
+        beam_search_generate(req, mparams, vocab, ProsodyRules(tone_dict=None, templates=[]))
 
 
 def test_constraints_without_tone_dict_error_before_decoding(world, monkeypatch):

@@ -424,6 +424,40 @@ def test_backward_requires_scalar_root():
         nm.backward(nm.Node(np.zeros(3)))
 
 
+def _gru_params(n, H):
+    return {k: nm.Node(np.zeros(shape)) for g in "zrh"
+            for k, shape in (("W" + g, (H, n)), ("U" + g, (H, H)), ("b" + g, (H,)))}
+
+
+@pytest.mark.parametrize("op, match", [
+    (lambda: nm.add(nm.Node(np.zeros(2)), nm.Node(np.zeros(3))), "add"),
+    (lambda: nm.mul(nm.Node(np.zeros(2)), nm.Node(np.zeros((2, 2)))), "mul"),
+    (lambda: nm.affine(nm.Node(np.zeros(3)), nm.Node(np.zeros(3)), nm.Node(np.zeros(1))),
+     "bad ranks"),
+    (lambda: nm.affine(nm.Node(np.zeros((2, 3))), nm.Node(np.zeros(4)), nm.Node(np.zeros(2))),
+     "incompatible"),
+    (lambda: nm.affine(nm.Node(np.zeros((2, 3))), nm.Node(np.zeros(3)), nm.Node(np.zeros(5))),
+     "incompatible"),
+    (lambda: nm.cross_entropy(nm.Node(np.full(3, 1 / 3)), 3), "target in range"),
+    (lambda: nm.cross_entropy(nm.Node(np.full((2, 3), 1 / 3)), 0), "target in range"),
+    (lambda: nm.cross_entropy_rows(nm.Node(np.full((2, 3), 1 / 3)), [0, 1, 2]),
+     "do not match"),
+    (lambda: nm.cross_entropy_rows(nm.Node(np.float64(1.0)), 0), "do not match"),
+    (lambda: nm.gru_cell(nm.Node(np.zeros(4)), nm.Node(np.zeros(3)), _gru_params(2, 3)),
+     "gru_cell"),
+    (lambda: nm.gru_cell(nm.Node(np.zeros(2)), nm.Node(np.zeros(4)), _gru_params(2, 3)),
+     "gru_cell"),
+    (lambda: nm.additive_attention(nm.Node(np.zeros(2)), [], nm.Node(np.zeros((2, 2))),
+                                   nm.Node(np.zeros((2, 2))), nm.Node(np.zeros(2))),
+     "empty sequence"),
+], ids=["add", "mul", "affine ranks", "affine x", "affine b", "cross_entropy target",
+        "cross_entropy rows", "cross_entropy_rows targets", "cross_entropy_rows scalar",
+        "gru_cell x", "gru_cell h", "additive_attention empty"])
+def test_ops_refuse_mismatched_shapes(op, match):
+    with pytest.raises(nm.ShapeError, match=match):
+        op()
+
+
 def test_shared_node_gradient_accumulates():
     a = nm.Node(np.array([1.0, 2.0]))
     out = nm.mean_all(nm.add(a, a))

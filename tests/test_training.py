@@ -338,6 +338,11 @@ def test_checkpoint_corruption_errors(tmp_path, setup, monkeypatch):
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(str(bad))
 
+    for size in (4, 15):
+        bad.write_bytes(blob[:size])
+        with pytest.raises(CheckpointError, match="need 16 bytes .* file has %d" % size):
+            load_checkpoint(str(bad))
+
     assert struct.unpack("<I", blob[4:8])[0] == VERSION == 5
     for version in (1, 2, 3, 4, 99):
         bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
@@ -410,6 +415,15 @@ def test_checkpoint_malformed_contents(tmp_path, setup, edit_header, edit_state,
         path.write_bytes(edit_checkpoint_header(path.read_bytes(), edit_header))
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_without_characters_is_refused(tmp_path):
+    """A vocabulary of the reserved ids alone has nothing to generate."""
+    mp = ModelParams.initialize(ModelConfig(vocab_size=N_RESERVED, d=4, H=4, H_dec=4))
+    path = str(tmp_path / "empty.ckpt")
+    save_checkpoint(path, mp, None, build_vocab([]), 0, 0)
+    with pytest.raises(CheckpointError, match="holds no characters"):
+        load_checkpoint(path)
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, setup, monkeypatch):
