@@ -12,6 +12,7 @@ variable; its keys are the long flag names with dashes as underscores.
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -87,8 +88,15 @@ def _manifest(args, started):
 
 def _emit(record, file=None):
     """Write one record as a flushed JSON line: a dataclass by its fields, in order."""
-    print(json.dumps(asdict(record) if is_dataclass(record) else record, ensure_ascii=False),
-          file=file, flush=True)
+    print(json.dumps(asdict(record) if is_dataclass(record) else record, ensure_ascii=False,
+                     default=_rounded_list), file=file, flush=True)
+
+
+def _rounded_list(obj):
+    """An array to 6 decimals, rounded in float64: a rounded float32 widens to more decimals."""
+    if isinstance(obj, np.ndarray):
+        return np.round(obj.astype(np.float64), 6).tolist()
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
 
 
 def _check_writable(args):
@@ -223,6 +231,21 @@ def cmd_embed(args):
 # parser
 # ---------------------------------------------------------------------------
 
+def _checked(convert, ok, need):
+    """An argparse type: `convert(text)`, a usage error unless it is `need`."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("must be %s, got %s" % (need, text))
+        return value
+    parse.__name__ = convert.__name__           # argparse says "invalid int value: 'x'"
+    return parse
+
+
+POSITIVE = _checked(int, lambda n: n >= 1, ">= 1")
+FINITE = _checked(float, math.isfinite, "finite")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="qgen",
@@ -234,19 +257,19 @@ def build_parser():
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     p.add_argument("--corpus", required=True)
     p.add_argument("--genre", choices=("5", "7", "hybrid"), default="hybrid")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--minibatch", type=int, default=8)
+    p.add_argument("--epochs", type=POSITIVE, default=50)
+    p.add_argument("--minibatch", type=POSITIVE, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="model.ckpt")
-    p.add_argument("--d", type=int, default=128)
-    p.add_argument("--H", type=int, default=128)
-    p.add_argument("--H-dec", dest="H_dec", type=int, default=256)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--d", type=POSITIVE, default=128)
+    p.add_argument("--H", type=POSITIVE, default=128)
+    p.add_argument("--H-dec", dest="H_dec", type=POSITIVE, default=256)
+    p.add_argument("--min-count", type=POSITIVE, default=1)
     p.add_argument("--no-echo", action="store_true",
                    help="drop the line-1 reconstruction target")
     p.add_argument("--no-input-attention", action="store_true")
     p.add_argument("--pretrained-embeddings", default=None)
-    p.add_argument("--stop-below-loss", type=float, default=None)
+    p.add_argument("--stop-below-loss", type=FINITE, default=None)
     p.set_defaults(func=cmd_train, inputs=("corpus", "pretrained_embeddings"),
                    outputs=("out",))
 
@@ -254,7 +277,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--keywords", required=True)
     p.add_argument("--genre", choices=("5", "7"), required=True)
-    p.add_argument("--beam", type=int, default=5)
+    p.add_argument("--beam", type=POSITIVE, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-tone", action="store_true")
     p.add_argument("--no-rhyme", action="store_true")
@@ -283,10 +306,10 @@ def build_parser():
     p = sub.add_parser("embed", help="pretrain character vectors (skip-gram)")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", default="embeddings.txt")
-    p.add_argument("--d", type=int, default=128)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=1)
+    p.add_argument("--d", type=_checked(int, lambda n: n >= 2, ">= 2"), default=128)
+    p.add_argument("--window", type=POSITIVE, default=5)
+    p.add_argument("--negatives", type=POSITIVE, default=5)
+    p.add_argument("--epochs", type=POSITIVE, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_embed, inputs=("corpus",), outputs=("out",))
     return ap, sub
@@ -322,7 +345,7 @@ def _config_value(action, value):
         raise ValueError("%s must be a string, got %s" % (action.dest, json.dumps(value)))
     try:
         value = action.type(str(value)) if action.type else value
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
         raise ValueError("%s: %s" % (action.dest, e)) from e
     if action.choices is not None and value not in action.choices:
         raise ValueError("%s must be one of %s, got %s"

@@ -120,16 +120,11 @@ def constraint_mask(line, pos, dist, table, template, rhyme_group,
     return masked / masked.sum(), relaxations
 
 
-def _logged_weights(alpha):
-    """Attention weights for a step record, to 6 decimals. They are rounded in
-    float64: a float32 weight rounded to 6 decimals is no 6-decimal float once
-    `.tolist()` widens it."""
-    return None if alpha is None else np.round(alpha.astype(np.float64, copy=False), 6).tolist()
-
-
 def beam_search_generate(req, mparams, vocab, rules):
     """Generate one quatrain. Returns (Poem, log_records).
 
+    A step record's candidates hold their attention weights (`alpha_h`,
+    `alpha_x`) as the step's float array rows; `cli._emit` formats them.
     Deterministic given req.seed; the seed only breaks exact score ties.
     """
     if len(vocab) <= N_RESERVED:
@@ -167,10 +162,9 @@ def beam_search_generate(req, mparams, vocab, rules):
 
     for step, (kind, line, pos) in enumerate(plan):
         s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
-        alpha_h, alpha_x = _logged_weights(info["alpha_h"]), _logged_weights(info["alpha_x"])
         step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
-            {"prefix": hyp.text, "alpha_h": alpha_h[b],
-             "alpha_x": None if alpha_x is None else alpha_x[b]} for b, hyp in enumerate(beam)]}
+            {"prefix": hyp.text, "alpha_h": info["alpha_h"][b], "alpha_x": None
+             if info["alpha_x"] is None else info["alpha_x"][b]} for b, hyp in enumerate(beam)]}
         pool = []                       # (logp, row of the parent, char id)
         relaxed = [[] for _ in beam]    # relaxed[b]: this step's relaxations of row b
         for b, hyp in enumerate(beam):

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(): exit codes, outputs, manifests."""
 
 import codecs
+import io
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 import qgen
 from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_header
-from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, main
+from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, _emit, main
 from qgen.corpus import Genre
 from qgen.generation import GenRequest, ProsodyRules, beam_search_generate
 from qgen.prosody import load_templates, load_tone_dict
@@ -78,21 +79,6 @@ def test_train_hybrid_guard_is_runtime_error(workdir, capsys):
     assert "Hybrid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--corpus", "five.txt", "--genre", "5", "--d", "0"],
-    ["train", "--corpus", "five.txt", "--genre", "5", "--H", "0"],
-    ["train", "--corpus", "five.txt", "--genre", "5", "--H-dec", "0"],
-    ["embed", "--corpus", "five.txt", "--d", "8", "--window", "2", "--epochs", "0"],
-], ids=" ".join)
-def test_non_positive_size_is_one_line_failure(workdir, capsys, argv):
-    (workdir / "five.txt").write_text(FIVE + "\n", encoding="utf-8")
-    assert main(argv) == EXIT_FAILURE
-    err = capsys.readouterr().err
-    assert err.startswith("qgen: ") and ">= 1" in err
-    assert len(err.splitlines()) == 1
-    assert not (workdir / "embeddings.txt").exists()
-
-
 @pytest.mark.parametrize("command", ["train", "embed"])
 def test_out_of_memory_is_one_line_failure(workdir, capsys, command):
     """numpy refuses a petabyte (V, d) matrix at once, before using any memory."""
@@ -150,7 +136,7 @@ def test_unwritable_out_fails_before_training(workdir, capsys, monkeypatch, comm
 
 def test_failed_embed_keeps_the_previous_out(workdir):
     (workdir / "emb.txt").write_text("previous\n", encoding="utf-8")
-    assert main(["embed", "--corpus", data_path("overfit_corpus.txt"), "--epochs", "0",
+    assert main(["embed", "--corpus", data_path("overfit_corpus.txt"), "--window", "1000000",
                  "--out", "emb.txt"]) == EXIT_FAILURE
     assert (workdir / "emb.txt").read_text(encoding="utf-8") == "previous\n"
 
@@ -179,7 +165,26 @@ def test_generate_log_holds_the_search_records(workdir, trained):
     req = GenRequest(keywords="月黑雁飞高", genre=Genre.SEVEN_CHAR, beam_width=3, seed=2)
     _, records = beam_search_generate(req, mparams, vocab, rules)
     lines = (workdir / "gen.jsonl").read_text(encoding="utf-8").split("\n")
-    assert lines == [json.dumps(r, ensure_ascii=False) for r in records] + [""]
+    assert lines[-1] == "" and [json.loads(l) for l in lines[:-1]] == rounded(records)
+    assert lines[:-1] == [json.dumps(r, ensure_ascii=False) for r in rounded(records)]
+
+
+def rounded(obj):
+    """Records as the beam log holds them: each array's floats to 6 decimals."""
+    if isinstance(obj, np.ndarray):
+        return np.round(obj.astype(np.float64), 6).tolist()
+    if isinstance(obj, dict):
+        return {k: rounded(v) for k, v in obj.items()}
+    return [rounded(v) for v in obj] if isinstance(obj, list) else obj
+
+
+def test_emit_rounds_arrays_in_float64_and_refuses_other_objects():
+    """A float32 0.1 rounded in float32 would print as 0.10000000149011612."""
+    out = io.StringIO()
+    _emit({"w": np.array([0.1], np.float32)}, file=out)
+    assert out.getvalue() == '{"w": [0.1]}\n'
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _emit({"w": object()}, file=io.StringIO())
 
 
 def test_generate_unwritable_log_prints_no_poem(workdir, trained, capsys):
@@ -480,6 +485,37 @@ def test_qgen_config_wrong_value_type(workdir, trained, capsys, monkeypatch, cfg
     err = capsys.readouterr().err
     assert err.startswith("qgen: bad QGEN_CONFIG: ") and next(iter(cfg)) in err
     assert len(err.splitlines()) == 1
+
+
+REQUIRED = {"train": ["--corpus", "missing.txt"], "embed": ["--corpus", "missing.txt"],
+            "generate": ["--checkpoint", "missing.ckpt", "--keywords", "月", "--genre", "5"]}
+
+
+@pytest.mark.parametrize("via", ["argv", "QGEN_CONFIG"])
+@pytest.mark.parametrize("command, flag, value", [
+    ("generate", "--beam", 0), ("generate", "--beam", -3),
+    ("train", "--epochs", 0), ("train", "--minibatch", 0), ("train", "--d", 0),
+    ("train", "--H", 0), ("train", "--H-dec", 0), ("train", "--min-count", 0),
+    ("train", "--stop-below-loss", float("nan")), ("train", "--stop-below-loss", float("inf")),
+    ("train", "--stop-below-loss", float("-inf")),
+    ("embed", "--d", 1), ("embed", "--window", 0), ("embed", "--negatives", -1),
+    ("embed", "--epochs", 0),
+])
+def test_out_of_range_numbers_are_usage_errors(workdir, capsys, monkeypatch, via,
+                                               command, flag, value):
+    """Exit 2 before any input is read (the named inputs do not exist), one
+    error line naming the flag, and nothing written."""
+    argv, key = [command] + REQUIRED[command], flag[2:].replace("-", "_")
+    if via == "argv":
+        argv.append("%s=%s" % (flag, value))       # "=": argparse takes "-inf" for a flag
+    else:
+        (workdir / "defaults.json").write_text(json.dumps({key: value}), encoding="utf-8")
+        monkeypatch.setenv("QGEN_CONFIG", str(workdir / "defaults.json"))
+    assert main(argv) == EXIT_USAGE
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("qgen")]
+    assert len(errors) == 1 and "must be" in errors[0]
+    assert (flag if via == "argv" else key) in errors[0]
+    assert sorted(os.listdir(workdir)) == ([] if via == "argv" else ["defaults.json"])
 
 
 def test_qgen_config_bad_file(workdir, monkeypatch):

@@ -1,5 +1,6 @@
 """Constrained beam search: masks, structure guarantees, determinism."""
 
+import io
 import json
 import logging
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import data_path, laid_out_for_generation
+from qgen.cli import _emit
 from qgen.corpus import (BOS, N_RESERVED, SEP, Genre, Poem,
                          build_training_sequence, build_vocab)
 from qgen.generation import (GenerationError, GenRequest, ProsodyRules,
@@ -231,7 +233,7 @@ def test_generation_structure_and_determinism(world):
         assert validate_structure(poem.lines) == genre
         poem2, _ = beam_search_generate(req, mparams, vocab, rules)
         assert poem.lines == poem2.lines
-        assert all("\n" not in json.dumps(r, ensure_ascii=False) for r in records)
+        assert all(w.count("\n") == 1 and w.endswith("\n") for w in map(written, records))
         assert records[-1]["template"] is not None
 
 
@@ -348,11 +350,18 @@ def assert_beam_matches_oracle(req, mparams, vocab, rules):
     return records
 
 
+def written(record):
+    """The line that the CLI's writer prints for a record."""
+    out = io.StringIO()
+    _emit(record, file=out)
+    return out.getvalue()
+
+
 def assert_same_search(lines, records, want_lines, expect):
-    """Equal poems and step records, and final scores equal to 1e-12."""
+    """Equal poems, step records as the writer prints them, and final scores
+    equal to 1e-12."""
     assert lines == want_lines
-    assert ([json.dumps(r, ensure_ascii=False) for r in records[:-1]]
-            == [json.dumps(r, ensure_ascii=False) for r in expect[:-1]])
+    assert [written(r) for r in records[:-1]] == [written(r) for r in expect[:-1]]
     got_final, want_final = dict(records[-1]), dict(expect[-1])
     assert abs(got_final.pop("final_logp") - want_final.pop("final_logp")) <= 1e-12
     assert got_final == want_final
@@ -386,7 +395,7 @@ def test_reloaded_checkpoint_generates_as_trained_model(world, trained_and_reloa
 @pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
 def test_float32_checkpoint_generates_the_float64_poems(world, trained_and_reloaded, kw):
     """Decoding in float32 moves no poem and scores within 1e-5 of float64,
-    and its step records keep 6-decimal attention weights."""
+    and the writer prints its step records' attention weights to 6 decimals."""
     vocab, _, rules = world
     trained, _, reloaded = trained_and_reloaded
     req = GenRequest(**kw)
@@ -396,7 +405,8 @@ def test_float32_checkpoint_generates_the_float64_poems(world, trained_and_reloa
     got_final, want_final = dict(records[-1]), dict(expect[-1])
     assert abs(got_final.pop("final_logp") - want_final.pop("final_logp")) <= 1e-5
     assert got_final == want_final
-    weights = [w for rec in records[:-1] for cand in rec["candidates"]
+    logged = [json.loads(written(r)) for r in records[:-1]]
+    weights = [w for rec in logged for cand in rec["candidates"]
                for w in cand["alpha_h"] + (cand["alpha_x"] or [])]
     assert weights and all(round(w, 6) == w for w in weights)
 
