@@ -243,6 +243,7 @@ def _checked(convert, ok, need):
 
 
 POSITIVE = _checked(int, lambda n: n >= 1, ">= 1")
+NON_NEGATIVE = _checked(int, lambda n: n >= 0, ">= 0")
 FINITE = _checked(float, math.isfinite, "finite")
 
 
@@ -259,7 +260,7 @@ def build_parser():
     p.add_argument("--genre", choices=("5", "7", "hybrid"), default="hybrid")
     p.add_argument("--epochs", type=POSITIVE, default=50)
     p.add_argument("--minibatch", type=POSITIVE, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.add_argument("--out", default="model.ckpt")
     p.add_argument("--d", type=POSITIVE, default=128)
     p.add_argument("--H", type=POSITIVE, default=128)
@@ -278,7 +279,7 @@ def build_parser():
     p.add_argument("--keywords", required=True)
     p.add_argument("--genre", choices=("5", "7"), required=True)
     p.add_argument("--beam", type=POSITIVE, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.add_argument("--no-tone", action="store_true")
     p.add_argument("--no-rhyme", action="store_true")
     p.add_argument("--sep-keywords", action="store_true",
@@ -310,7 +311,7 @@ def build_parser():
     p.add_argument("--window", type=POSITIVE, default=5)
     p.add_argument("--negatives", type=POSITIVE, default=5)
     p.add_argument("--epochs", type=POSITIVE, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.set_defaults(func=cmd_embed, inputs=("corpus",), outputs=("out",))
     return ap, sub
 

@@ -6,7 +6,8 @@ guarantee. Tone and rhyme are enforced by masking the output distribution;
 when the masks would remove all probability mass the rules in force at that
 position are relaxed in the order rhyme -> tone, and every relaxation of a rule
 in force is logged. The live hypotheses are the rows of one batch: one decoder
-call per position serves them all.
+call, one mask and one top-k per character position serve them all, and a SEP
+position, whose token is forced, skips the projection onto the vocabulary.
 """
 
 import logging
@@ -16,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .corpus import BOS, N_RESERVED, SEP, UNK, Genre, Poem
-from .model import decode_step, encode, init_decoder_state
+from .model import decode_recurrence, decode_step, encode, init_decoder_state
 from .numerics import constant
 from .prosody import slot_allows, templates_for
 
@@ -47,16 +48,24 @@ class ProsodyRules:
     _table: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def vocab_table(self, vocab):
-        """`tone_dict.tables` of the vocabulary's characters in id order.
-
-        Built once per tone dictionary and vocabulary and kept for the next
-        request; neither may change once generation has read it.
-        """
+        """The VocabTable of the vocabulary's characters in id order, kept for
+        the next request; neither may change once generation has read it."""
         td, built_for, table = self._table or (None, None, None)
         if td is not self.tone_dict or built_for is not vocab:
-            table = self.tone_dict.tables(vocab.chars)
+            table = VocabTable(self.tone_dict.tables(vocab.chars))
             self._table = (self.tone_dict, vocab, table)
         return table
+
+
+class VocabTable:
+    """The rhyme groups (None where unknown) of `ToneDict.tables`' pair, and the
+    rules' bool masks: one per slot symbol, one per rhyme group (None: none)."""
+
+    def __init__(self, table):
+        tones, self.groups = table
+        self.slots = {s: slot_allows(s, tones) for s in "PZ*"}
+        self.known = np.not_equal(self.groups, None)    # a rhyme needs a known group
+        self.rhymes = {g: self.known & (self.groups == g) for g in {None, *self.groups}}
 
 
 class GenerationError(Exception):
@@ -85,39 +94,68 @@ class _Hyp:
     relaxations: list = field(default_factory=list)
 
 
-def constraint_mask(line, pos, dist, table, template, rhyme_group,
+def constraint_mask(line, pos, dist, table, templates, rhyme_groups,
                     tone_on, rhyme_on, genre):
-    """Mask and renormalize the distribution of one character position.
+    """Mask and renormalize the (R, V) rows of one character position, each
+    with its template and bound rhyme group, or one (V,) row with one of each.
 
     Structure masking (no reserved token) is unconditional. The rules in force
-    are decided once: rhyme at the final characters of lines 2 and 4 (group
-    bound by line 2, matched by line 4), then tone by the bound template's
-    slot. `table` holds the tone codes and rhyme groups of the vocabulary
-    (`ToneDict.tables`). While all mass is removed, the first rule in force is
-    dropped, and then the uniform "model" fallback; every relaxation of a rule
-    in force is returned. Separator steps never come here: the beam emits SEP.
+    are decided once for all rows: rhyme at the final characters of lines 2
+    and 4 (group bound by line 2, matched by line 4), then tone by each row's
+    template slot. A row whose mass is all removed drops them in that order,
+    then falls back to uniform ("model"). `table` is a VocabTable or the pair
+    it is built from. Returns the masked rows and the relaxations: records for
+    one row, (row, record) pairs for rows. SEP positions never come here.
     """
-    p = np.array(dist, dtype=np.float64)       # a float64 copy, so scores sum in float64
-    p[:N_RESERVED] = 0.0
-    in_force = []                       # (rule, 0/1 mask), in the order they are dropped
+    one = np.ndim(dist) == 1
+    templates, rhyme_groups = ([templates], [rhyme_groups]) if one else (templates, rhyme_groups)
+    table = VocabTable(table) if isinstance(table, tuple) else table
+    p = np.array(dist, dtype=np.float64, ndmin=2)   # a float64 copy, so scores sum in float64
+    p[:, :N_RESERVED] = 0.0
+    in_force = []                       # (rule, bool mask), in the order they are dropped
     if rhyme_on and pos == genre.value - 1 and line in (1, 3):
-        rhyme = np.not_equal(table[1], None)    # a rhyme needs a known group
-        if line == 3:
-            rhyme &= table[1] == rhyme_group
-        in_force.append(("rhyme", rhyme))
-    if tone_on and template is not None:
-        in_force.append(("tone", slot_allows(template.slot(line, pos), table[0])))
+        in_force.append(("rhyme", table.known if line == 1 else
+                         np.array([table.rhymes.get(g, table.rhymes[None])
+                                   for g in rhyme_groups])))
+    if tone_on and templates[0] is not None:    # every row holds a template, or none does
+        in_force.append(("tone", np.array([table.slots[t.slot(line, pos)] for t in templates])))
+    masked = p * reduce(np.logical_and, [m for _, m in in_force]) if in_force else p
+    sums = masked.sum(axis=1)
     relaxations = []
-    masked = reduce(np.multiply, [allowed for _, allowed in in_force], p)
-    while masked.sum() <= 0.0 and in_force:
-        relaxations.append({"line": line, "pos": pos, "dropped": in_force.pop(0)[0]})
-        masked = reduce(np.multiply, [allowed for _, allowed in in_force], p)
-    if masked.sum() <= 0.0:
-        # model put zero mass on every character token; fall back to uniform
-        relaxations.append({"line": line, "pos": pos, "dropped": "model"})
-        p[N_RESERVED:] = 1.0
-        masked = p
-    return masked / masked.sum(), relaxations
+    for b in np.flatnonzero(sums <= 0.0).tolist():
+        rules = [(rule, np.broadcast_to(m, p.shape)[b]) for rule, m in in_force]
+        while masked[b].sum() <= 0.0 and rules:
+            relaxations.append((b, {"line": line, "pos": pos, "dropped": rules.pop(0)[0]}))
+            masked[b] = reduce(np.multiply, [m for _, m in rules], p[b])
+        if masked[b].sum() <= 0.0:     # no mass on any character token
+            relaxations.append((b, {"line": line, "pos": pos, "dropped": "model"}))
+            masked[b, N_RESERVED:] = 1.0
+        sums[b] = masked[b].sum()
+    masked /= sums[:, None]
+    return (masked[0], [r for _, r in relaxations]) if one else (masked, relaxations)
+
+
+def candidate_pool(masked, logp, k):
+    """Each row's k most probable ids of positive probability, equal ones by
+    ascending id, as (rows, ids, scores = logp[row] + log p) in row order and
+    by rank within a row: the order the tie draws follow."""
+    V = masked.shape[1]
+    if k == 1:                          # the first maximum is the lowest id
+        flat = masked.argmax(axis=1) + V * np.arange(len(masked))
+    else:                               # cut at each row's k-th largest, and above zero
+        cut = np.maximum(np.partition(masked, -min(k, V), axis=1)[:, -min(k, V), None], 5e-324)
+        flat = (masked >= cut).ravel().nonzero()[0]     # row * V + id, ascending
+        flat = flat[np.lexsort((flat, -masked.ravel()[flat], flat // V))]
+        flat = flat[np.arange(len(flat)) - np.searchsorted(flat // V, flat // V) < k]
+    flat = flat[masked.ravel()[flat] > 0.0]     # a row that is no distribution (NaN) offers none
+    rows = flat // V
+    return rows, flat - rows * V, logp[rows] + np.log(masked.ravel()[flat])
+
+
+def keep_best(rows, ids, scores, width, rng):
+    """The `width` best of a pool by descending score, ties by one draw per entry."""
+    kept = np.lexsort((rng.random(len(rows)), -scores))[:width]
+    return rows[kept], ids[kept], scores[kept]
 
 
 def beam_search_generate(req, mparams, vocab, rules):
@@ -161,37 +199,32 @@ def beam_search_generate(req, mparams, vocab, rules):
     records = []
 
     for step, (kind, line, pos) in enumerate(plan):
-        s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
+        logp = np.array([hyp.logp for hyp in beam])
+        if kind == "sep":               # forced: no model mass is spent
+            s_new, _, info = decode_recurrence(constant(state), prev, enc, nodes, cfg)
+            rows, ids, scores, relaxed = np.arange(len(beam)), np.full(len(beam), SEP), logp, []
+        else:
+            s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
+            masked, relaxed = constraint_mask(
+                line, pos, dist.value, table, [hyp.template for hyp in beam],
+                [hyp.rhyme_group for hyp in beam], req.tone, req.rhyme, req.genre)
+            rows, ids, scores = candidate_pool(masked, logp, req.beam_width)
         step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
             {"prefix": hyp.text, "alpha_h": info["alpha_h"][b], "alpha_x": None
              if info["alpha_x"] is None else info["alpha_x"][b]} for b, hyp in enumerate(beam)]}
-        pool = []                       # (logp, row of the parent, char id)
-        relaxed = [[] for _ in beam]    # relaxed[b]: this step's relaxations of row b
-        for b, hyp in enumerate(beam):
-            if kind == "sep":
-                pool.append((hyp.logp, b, SEP))     # forced: no model mass is spent
-                continue
-            masked, relaxed[b] = constraint_mask(line, pos, dist.value[b], table, hyp.template,
-                                                 hyp.rhyme_group, req.tone, req.rhyme, req.genre)
-            if relaxed[b]:
-                step_rec.setdefault("relaxations", []).extend(relaxed[b])
-            k = min(req.beam_width, int((masked > 0).sum()))
-            if k:                       # the k largest, equal probabilities by ascending id
-                ids = np.flatnonzero(masked >= np.partition(masked, -k)[-k])
-                pool += [(hyp.logp + float(np.log(masked[idx])), b, int(idx))
-                         for idx in ids[np.lexsort((ids, -masked[ids]))[:k]]]
-        if not pool:
+        if relaxed:
+            step_rec["relaxations"] = [r for _, r in relaxed]
+        if not len(rows):
             raise GenerationError("beam exhausted at step %d" % step)
-        tie = rng.random(len(pool))
-        kept = [pool[i] for i in sorted(range(len(pool)),
-                                        key=lambda i: (-pool[i][0], tie[i]))[:req.beam_width]]
+        rows, ids, scores = keep_best(rows, ids, scores, req.beam_width, rng)
         binds = line == 1 and pos == L - 1 and table is not None    # line 2 binds the rhyme
         beam = [_Hyp(text=beam[b].text + (vocab.char(idx) if kind == "char" else ""),
-                     logp=logp, template=beam[b].template,
-                     rhyme_group=table[1][idx] if binds else beam[b].rhyme_group,
-                     relaxations=beam[b].relaxations + relaxed[b]) for logp, b, idx in kept]
-        state = s_new.value[[b for _, b, _ in kept]]
-        prev = np.array([idx for _, _, idx in kept])
+                     logp=score, template=beam[b].template,
+                     rhyme_group=table.groups[idx] if binds else beam[b].rhyme_group,
+                     relaxations=beam[b].relaxations + [r for rb, r in relaxed if rb == b])
+                for b, idx, score in zip(rows.tolist(), ids.tolist(), scores.tolist())]
+        state = s_new.value[rows]
+        prev = ids
         records.append(step_rec)
 
     best = beam[0]

@@ -478,12 +478,19 @@ class AdaDeltaState:
         self.edx2 = {k: np.zeros_like(v) for k, v in params.items()}
 
 
+ADADELTA_BLOCK = 1 << 14      # elements per block: a block's operands stay in cache
+
+
 def adadelta_step(params, grads, state):
     """One AdaDelta update, in place on `params` (dict name -> ndarray).
 
     E[g^2] <- rho E[g^2] + (1-rho) g^2
     dx      = -sqrt(E[dx^2]+eps)/sqrt(E[g^2]+eps) * g
     E[dx^2] <- rho E[dx^2] + (1-rho) dx^2
+
+    Blocks of leading-axis slices, about ADADELTA_BLOCK elements each, go
+    through three scratch buffers allocated once per call, by the same ufuncs
+    in the same order: whole-tensor bits when E[.] is no narrower than `grads`.
     """
     for name, g in grads.items():
         if name not in params:
@@ -494,15 +501,24 @@ def adadelta_step(params, grads, state):
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("non-finite gradient for %r; step aborted" % name)
     rho, eps = state.rho, state.epsilon
+    size = max([ADADELTA_BLOCK] + [g[0].size for g in grads.values() if g.ndim and len(g)])
+    raw = [np.empty(8 * size, np.uint8) for _ in range(3)]     # viewed in each tensor's dtypes
     for name, g in grads.items():
-        eg2 = state.eg2[name]
-        edx2 = state.edx2[name]
-        eg2 *= rho
-        eg2 += (1.0 - rho) * g * g
-        dx = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
-        edx2 *= rho
-        edx2 += (1.0 - rho) * dx * dx
-        params[name] += dx
+        p, g, eg2, edx2 = np.atleast_1d(params[name], g, state.eg2[name], state.edx2[name])
+        dtypes = (g.dtype,) + (np.result_type(eg2, edx2, g),) * 2   # (1-rho) g^2, then dx
+        n = max(1, ADADELTA_BLOCK * len(g) // max(1, g.size))     # leading-axis slices
+        for i in range(0, len(g), n):
+            gb, e2, d2 = g[i:i + n], eg2[i:i + n], edx2[i:i + n]
+            sq, a, b = (r[:gb.size * t.itemsize].view(t).reshape(gb.shape)
+                        for r, t in zip(raw, dtypes))
+            e2 *= rho
+            e2 += np.multiply(np.multiply(1.0 - rho, gb, out=sq), gb, out=sq)
+            dx = np.negative(np.sqrt(np.add(d2, eps, out=a), out=a), out=a)
+            dx /= np.sqrt(np.add(e2, eps, out=b), out=b)
+            dx *= gb
+            d2 *= rho
+            d2 += np.multiply(np.multiply(1.0 - rho, dx, out=b), dx, out=b)
+            p[i:i + n] += dx
     # parameters with no gradient this step still decay their E[g^2]
     for name in params:
         if name not in grads:

@@ -518,6 +518,15 @@ def test_out_of_range_numbers_are_usage_errors(workdir, capsys, monkeypatch, via
     assert sorted(os.listdir(workdir)) == ([] if via == "argv" else ["defaults.json"])
 
 
+@pytest.mark.parametrize("via", ["argv", "QGEN_CONFIG"])
+@pytest.mark.parametrize("command", ["train", "generate", "embed"])
+def test_negative_seed_is_a_usage_error(workdir, capsys, monkeypatch, via, command):
+    """numpy's generators take no negative seed: `--seed -1` is refused as any
+    out-of-range number is, before an input is read."""
+    test_out_of_range_numbers_are_usage_errors(workdir, capsys, monkeypatch, via,
+                                               command, "--seed", -1)
+
+
 def test_qgen_config_bad_file(workdir, monkeypatch):
     cfg = workdir / "defaults.json"
     cfg.write_text("[1, 2]", encoding="utf-8")

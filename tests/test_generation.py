@@ -3,16 +3,19 @@
 import io
 import json
 import logging
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from conftest import data_path, laid_out_for_generation
+from qgen import model
 from qgen.cli import _emit
 from qgen.corpus import (BOS, N_RESERVED, SEP, Genre, Poem,
                          build_training_sequence, build_vocab)
 from qgen.generation import (GenerationError, GenRequest, ProsodyRules,
-                             beam_search_generate, constraint_mask, position_plan)
+                             beam_search_generate, candidate_pool, constraint_mask,
+                             keep_best, position_plan)
 from qgen.model import ModelConfig, ModelParams, decode_step, encode, init_decoder_state
 from qgen.prosody import (Tone, ToneDict, load_templates, load_tone_dict,
                           match_tonal_template, slot_allows, templates_for,
@@ -266,7 +269,8 @@ def test_beam_one_equals_greedy_argmax(world):
 
 def per_hypothesis_beam(req, mparams, vocab, rules):
     """Reference beam search: one vector decode_step per live hypothesis, each
-    hypothesis carrying its own state and previous id."""
+    hypothesis carrying its own state and previous id, masked by the
+    per-character reference_mask."""
     bindings = templates_for(rules.templates, req.genre) if req.tone else [None]
     table = rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
     cfg, nodes = mparams.cfg, mparams.wrap()
@@ -289,8 +293,9 @@ def per_hypothesis_beam(req, mparams, vocab, rules):
             if kind == "sep":
                 cands = [(SEP, hyp["logp"])]
             else:
-                masked, relax = constraint_mask(line, pos, dist.value, table, hyp["template"],
-                                                hyp["group"], req.tone, req.rhyme, req.genre)
+                masked, relax = reference_mask(line, pos, dist.value, vocab, rules.tone_dict,
+                                               hyp["template"], hyp["group"], req.tone,
+                                               req.rhyme, req.genre)
                 if relax:
                     rec.setdefault("relaxations", []).extend(relax)
                 k = min(req.beam_width, int((masked > 0).sum()))
@@ -444,6 +449,132 @@ def test_batched_beam_equals_per_hypothesis_loop_under_relaxation(world, dropped
     logged = final + [r for rec in records[:-1] for r in rec.get("relaxations", [])]
     assert {(r["line"], r["pos"]) for r in logged if r["dropped"] == "rhyme"} <= {
         (1, genre.value - 1), (3, genre.value - 1)}
+
+
+def per_row_mask(line, pos, dist, table, template, rhyme_group, tone_on, rhyme_on, genre):
+    """One row's mask as the search took it row by row, from the (tone codes,
+    rhyme groups) arrays: the oracle of constraint_mask's rows."""
+    p = np.array(dist, dtype=np.float64)
+    p[:N_RESERVED] = 0.0
+    in_force = []
+    if rhyme_on and pos == genre.value - 1 and line in (1, 3):
+        rhyme = np.not_equal(table[1], None)
+        if line == 3:
+            rhyme &= table[1] == rhyme_group
+        in_force.append(("rhyme", rhyme))
+    if tone_on and template is not None:
+        in_force.append(("tone", slot_allows(template.slot(line, pos), table[0])))
+    relaxations = []
+    masked = reduce(np.multiply, [allowed for _, allowed in in_force], p)
+    while masked.sum() <= 0.0 and in_force:
+        relaxations.append({"line": line, "pos": pos, "dropped": in_force.pop(0)[0]})
+        masked = reduce(np.multiply, [allowed for _, allowed in in_force], p)
+    if masked.sum() <= 0.0:
+        relaxations.append({"line": line, "pos": pos, "dropped": "model"})
+        p[N_RESERVED:] = 1.0
+        masked = p
+    return masked / masked.sum(), relaxations
+
+
+def per_row_step(dists, logp, table, templates, groups, line, pos, width, genre, rng):
+    """A character position taken row by row: one mask call and one
+    partition/lexsort per row, a pool of (score, row, id) in row order, and
+    the `width` best by descending score, equal scores by one draw per entry."""
+    masked_rows, relaxed, pool = [], [], []
+    for b, dist in enumerate(dists):
+        masked, relax = per_row_mask(line, pos, dist, table, templates[b], groups[b],
+                                     True, True, genre)
+        masked_rows.append(masked)
+        relaxed += [(b, r) for r in relax]
+        k = min(width, int((masked > 0).sum()))
+        if k:
+            ids = np.flatnonzero(masked >= np.partition(masked, -k)[-k])
+            pool += [(logp[b] + float(np.log(masked[idx])), b, int(idx))
+                     for idx in ids[np.lexsort((ids, -masked[ids]))[:k]]]
+    tie = rng.random(len(pool))
+    kept = [pool[i] for i in sorted(range(len(pool)), key=lambda i: (-pool[i][0], tie[i]))]
+    return np.array(masked_rows), relaxed, pool, kept[:width]
+
+
+def step_case(vocab, rules, name):
+    """(line, pos, genre, dists, templates, bound groups, width) of one
+    character position of a beam whose rows differ as `name` says."""
+    rng = np.random.default_rng(len(name))
+    V = len(vocab)
+    dists = rng.random((4, V)).astype(np.float32)
+    five = templates_for(rules.templates, Genre.FIVE_CHAR)
+    seven = templates_for(rules.templates, Genre.SEVEN_CHAR)
+    groups = sorted({rules.tone_dict.rhyme_group(c) for c in vocab.chars} - {None})
+    if name == "templates_per_row":
+        return 0, 1, Genre.SEVEN_CHAR, dists, seven, [None] * 4, 3
+    if name == "float64_rows":
+        return 2, 3, Genre.SEVEN_CHAR, dists.astype(np.float64), seven, [None] * 4, 5
+    if name == "line4_groups_per_row":
+        return 3, 4, Genre.FIVE_CHAR, dists, five, groups[:3] + [None], 5
+    if name == "one_row_relaxes":
+        dists[2] = 0.0
+        dists[2, SEP] = 1.0             # all mass on a reserved token
+        return 0, 0, Genre.FIVE_CHAR, dists, five, [None] * 4, 2
+    if name == "beam_wider_than_survivors":
+        dists[1] = 0.0
+        dists[1, [N_RESERVED + 1, V - 1]] = 0.5     # two characters, one of them masked
+        dists[3] = 1.0                  # equal probabilities rank by ascending id
+        return 1, 2, Genre.FIVE_CHAR, dists, five, [None] * 4, 5
+    if name == "beam_wider_than_vocabulary":
+        return 1, 4, Genre.FIVE_CHAR, dists, five, [None] * 4, V + 3
+    assert name == "beam_one_equal_rows_and_scores"
+    dists[:] = 1.0
+    return 0, 0, Genre.FIVE_CHAR, dists, [five[0]] * 4, [None] * 4, 1
+
+
+@pytest.mark.parametrize("name", [
+    "templates_per_row", "float64_rows", "line4_groups_per_row", "one_row_relaxes",
+    "beam_wider_than_survivors", "beam_wider_than_vocabulary",
+    "beam_one_equal_rows_and_scores"])
+def test_array_step_equals_the_per_row_step(world, name):
+    """One constraint_mask call over the rows, one candidate_pool and one
+    keep_best give, bit for bit, the per-row step's masked rows and
+    relaxations, its pool in order, and its kept entries."""
+    vocab, _, rules = world
+    line, pos, genre, dists, templates, groups, width = step_case(vocab, rules, name)
+    logp = np.array([-1.25, -1.25, -2.5, -0.75])
+    if name == "beam_one_equal_rows_and_scores":
+        logp[:] = -1.0                  # every score ties: the draws alone decide
+    masked, relaxed = constraint_mask(line, pos, dists, rules.vocab_table(vocab), templates,
+                                      groups, True, True, genre)
+    rows, ids, scores = candidate_pool(masked, logp, width)
+    kept = keep_best(rows, ids, scores, width, np.random.Generator(np.random.PCG64(9)))
+    want_masked, want_relaxed, pool, want_kept = per_row_step(
+        dists, logp, tables(vocab, rules), templates, groups, line, pos, width, genre,
+        np.random.Generator(np.random.PCG64(9)))
+    assert masked.dtype == want_masked.dtype and masked.tobytes() == want_masked.tobytes()
+    assert relaxed == want_relaxed
+    for (r, i, sc), want in (((rows, ids, scores), pool), (kept, want_kept)):
+        assert list(zip(r.tolist(), i.tolist())) == [(b, idx) for _, b, idx in want]
+        assert sc.tobytes() == np.array([score for score, _, _ in want]).tobytes()
+    survivors = (want_masked > 0).sum(axis=1)
+    if name == "one_row_relaxes":
+        assert {b for b, _ in relaxed} == {2}
+    if name.startswith("beam_wider"):
+        assert survivors.min() < width
+    if name == "beam_one_equal_rows_and_scores":
+        assert len(set(scores.tolist())) == 1 and len(pool) == 4
+
+
+@pytest.mark.parametrize("genre", [Genre.FIVE_CHAR, Genre.SEVEN_CHAR])
+def test_separator_steps_skip_the_projection(world, monkeypatch, genre):
+    """Only the 4·L character positions project onto the vocabulary, and the
+    search equals the oracle's, which projects at every position."""
+    vocab, mparams, rules = world
+    req = GenRequest(keywords="月黑雁飞高", genre=genre, beam_width=3, seed=5)
+    projected = []
+    project = model.output_projection
+    monkeypatch.setattr(model, "output_projection",
+                        lambda *args: projected.append(args) or project(*args))
+    poem, records = beam_search_generate(req, mparams, vocab, rules)
+    monkeypatch.undo()
+    assert len(projected) == 4 * genre.value
+    assert_same_search(poem.lines, records, *per_hypothesis_beam(req, mparams, vocab, rules))
 
 
 def test_equal_probabilities_rank_by_ascending_id(world):

@@ -518,6 +518,58 @@ def test_adadelta_decays_unvisited_accumulators():
     assert params["y"][0] == 0.0
 
 
+def whole_tensor_adadelta(params, grads, state):
+    """The update over whole tensors, one temporary per operation: the oracle
+    of the blocked adadelta_step."""
+    rho, eps = state.rho, state.epsilon
+    for name, g in grads.items():
+        eg2 = state.eg2[name]
+        edx2 = state.edx2[name]
+        eg2 *= rho
+        eg2 += (1.0 - rho) * g * g
+        dx = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+        edx2 *= rho
+        edx2 += (1.0 - rho) * dx * dx
+        params[name] += dx
+    for name in params:
+        if name not in grads:
+            state.eg2[name] *= rho
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+def test_blocked_adadelta_equals_whole_tensor_update(grad_dtype):
+    """Five steps leave parameters and both accumulators bit for bit as the
+    whole-tensor update does: tensors smaller than a block, exactly one block,
+    not a multiple of a block, rows longer than a block, a column-major
+    matrix, a scalar, and a parameter with no gradient."""
+    B = nm.ADADELTA_BLOCK
+    shapes = {"small": (7, 3), "one_block": (B,), "one_block_rows": (B // 64, 64),
+              "ragged": (2 * B // 64 + 5, 64), "ragged_vector": (B + 11,),
+              "long_rows": (3, B + 7), "column_major": (300, 70), "scalar": (),
+              "no_grad": (4, 4)}
+    rng = np.random.default_rng(7)
+    params = {k: np.asarray(rng.uniform(-0.1, 0.1, s)) for k, s in shapes.items()}
+    params["column_major"] = np.asfortranarray(params["column_major"])
+    start = {k: v.copy(order="K") for k, v in params.items()}
+    want = {k: v.copy(order="K") for k, v in params.items()}
+    state = nm.AdaDeltaState(params, rho=0.9, epsilon=1e-6)
+    want_state = nm.AdaDeltaState(want, rho=0.9, epsilon=1e-6)
+    for state_ in (state, want_state):
+        state_.eg2["no_grad"][:] = 1.0
+    for _ in range(5):
+        grads = {k: np.asarray(rng.standard_normal(s)).astype(grad_dtype)
+                 for k, s in shapes.items() if k != "no_grad"}
+        nm.adadelta_step(params, grads, state)
+        whole_tensor_adadelta(want, grads, want_state)
+    for k in shapes:
+        for got, ref in ((params, want), (state.eg2, want_state.eg2),
+                         (state.edx2, want_state.edx2)):
+            assert got[k].dtype == ref[k].dtype and got[k].tobytes() == ref[k].tobytes(), k
+    assert all(not np.array_equal(params[k], start[k]) for k in shapes if k != "no_grad")
+    assert np.array_equal(params["no_grad"], start["no_grad"])
+    assert state.eg2["no_grad"].max() < 1.0
+
+
 def test_adadelta_state_validation():
     with pytest.raises(ValueError):
         nm.AdaDeltaState({"x": np.zeros(1)}, rho=1.0)
