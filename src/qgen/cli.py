@@ -276,7 +276,7 @@ def build_parser():
 
     p = sub.add_parser("generate", help="generate one quatrain from keywords")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--keywords", required=True)
+    p.add_argument("--keywords", required=True, type=_checked(str, str.strip, "non-blank"))
     p.add_argument("--genre", choices=("5", "7"), required=True)
     p.add_argument("--beam", type=POSITIVE, default=5)
     p.add_argument("--seed", type=NON_NEGATIVE, default=0)
@@ -342,7 +342,7 @@ def _config_value(action, value):
         return value
     if value is None and action.default is None:
         return None
-    if action.type is None and not isinstance(value, str):
+    if not isinstance(value, str) and (action.type is None or action.type.__name__ == "str"):
         raise ValueError("%s must be a string, got %s" % (action.dest, json.dumps(value)))
     try:
         value = action.type(str(value)) if action.type else value

@@ -5,8 +5,9 @@ a SEP token between lines, stop after line 4. Structure is therefore a hard
 guarantee. Tone and rhyme are enforced by masking the output distribution;
 when the masks would remove all probability mass the rules in force at that
 position are relaxed in the order rhyme -> tone, and every relaxation of a rule
-in force is logged. The live hypotheses are the rows of one batch: one decoder
-call, one mask and one top-k per character position serve them all, and a SEP
+in force is logged. The beam is its rows: hypothesis b is row b of each array
+the search keeps, re-indexed by each position's survivors. One decoder call,
+one mask and one top-k per character position serve all rows, and a SEP
 position, whose token is forced, skips the projection onto the vocabulary.
 """
 
@@ -85,32 +86,20 @@ def position_plan(genre):
     return plan
 
 
-@dataclass
-class _Hyp:
-    text: str               # the characters chosen so far, separators left out
-    logp: float
-    template: object = None
-    rhyme_group: str = None
-    relaxations: list = field(default_factory=list)
-
-
 def constraint_mask(line, pos, dist, table, templates, rhyme_groups,
                     tone_on, rhyme_on, genre):
-    """Mask and renormalize the (R, V) rows of one character position, each
-    with its template and bound rhyme group, or one (V,) row with one of each.
+    """Mask and renormalize the (R, V) rows of one character position, row b
+    under templates[b] and bound rhyme group rhyme_groups[b].
 
     Structure masking (no reserved token) is unconditional. The rules in force
     are decided once for all rows: rhyme at the final characters of lines 2
     and 4 (group bound by line 2, matched by line 4), then tone by each row's
-    template slot. A row whose mass is all removed drops them in that order,
-    then falls back to uniform ("model"). `table` is a VocabTable or the pair
-    it is built from. Returns the masked rows and the relaxations: records for
-    one row, (row, record) pairs for rows. SEP positions never come here.
+    template slot, both read from the vocabulary's VocabTable `table`. A row
+    whose mass is all removed drops them in that order, then falls back to
+    uniform ("model"). Returns the masked rows and the relaxations as
+    (row, record) pairs. SEP positions never come here.
     """
-    one = np.ndim(dist) == 1
-    templates, rhyme_groups = ([templates], [rhyme_groups]) if one else (templates, rhyme_groups)
-    table = VocabTable(table) if isinstance(table, tuple) else table
-    p = np.array(dist, dtype=np.float64, ndmin=2)   # a float64 copy, so scores sum in float64
+    p = np.array(dist, dtype=np.float64)    # a float64 copy, so scores sum in float64
     p[:, :N_RESERVED] = 0.0
     in_force = []                       # (rule, bool mask), in the order they are dropped
     if rhyme_on and pos == genre.value - 1 and line in (1, 3):
@@ -132,7 +121,7 @@ def constraint_mask(line, pos, dist, table, templates, rhyme_groups,
             masked[b, N_RESERVED:] = 1.0
         sums[b] = masked[b].sum()
     masked /= sums[:, None]
-    return (masked[0], [r for _, r in relaxations]) if one else (masked, relaxations)
+    return masked, relaxations
 
 
 def candidate_pool(masked, logp, k):
@@ -176,62 +165,51 @@ def beam_search_generate(req, mparams, vocab, rules):
     if (req.tone or req.rhyme) and rules.tone_dict is None:
         raise GenerationError("tone and rhyme constraints need a tone dictionary")
     table = None if rules.tone_dict is None else rules.vocab_table(vocab)
-    cfg = mparams.cfg
-    nodes = mparams.wrap()
-    keywords = req.keywords.split() if req.sep_keywords else ["".join(req.keywords.split())]
-    ids = []
-    for ki, kw in enumerate(keywords):
-        if ki > 0:
-            ids.append(SEP)
-        for c in kw:
-            idx = vocab.id(c)
-            if idx == UNK:
-                log.warning("keyword char %r not in vocabulary; using UNK", c)
-            ids.append(idx)
+    cfg, nodes = mparams.cfg, mparams.wrap()
+    text = (" " if req.sep_keywords else "").join(req.keywords.split())    # " ": a SEP
+    ids = [SEP if c == " " else vocab.id(c) for c in text]
+    for c in [c for c, idx in zip(text, ids) if idx == UNK]:
+        log.warning("keyword char %r not in vocabulary; using UNK", c)
     enc = encode(ids, nodes, cfg)
     s0 = init_decoder_state(enc, req.genre, nodes, mparams.indicators)
     rng = np.random.Generator(np.random.PCG64(req.seed))
-    plan = position_plan(req.genre)
-    beam = [_Hyp(text="", logp=0.0, template=t) for t in bindings]
-    state = np.repeat(s0.value[None], len(beam), axis=0)    # row b: beam[b]'s state
-    prev = np.full(len(beam), BOS)
-    L = req.genre.value
+    n, L = len(bindings), req.genre.value
+    # row b of each: hypothesis b's text, score, template, bound rhyme group,
+    # relaxations (rows may share a list: replace it, never extend it), state, last id
+    texts, logp = np.full(n, "", dtype=object), np.zeros(n)
+    tmpls, groups = np.array(bindings, dtype=object), np.full(n, None)
+    relax = np.fromiter(([] for _ in bindings), dtype=object, count=n)
+    state, prev = np.repeat(s0.value[None], n, axis=0), np.full(n, BOS)
+    chars = np.array([""] * N_RESERVED + vocab.chars[N_RESERVED:], dtype=object)   # SEP adds none
     records = []
 
-    for step, (kind, line, pos) in enumerate(plan):
-        logp = np.array([hyp.logp for hyp in beam])
+    for step, (kind, line, pos) in enumerate(position_plan(req.genre)):
         if kind == "sep":               # forced: no model mass is spent
             s_new, _, info = decode_recurrence(constant(state), prev, enc, nodes, cfg)
-            rows, ids, scores, relaxed = np.arange(len(beam)), np.full(len(beam), SEP), logp, []
+            rows, ids, scores, relaxed = np.arange(len(logp)), np.full(len(logp), SEP), logp, []
         else:
             s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
-            masked, relaxed = constraint_mask(
-                line, pos, dist.value, table, [hyp.template for hyp in beam],
-                [hyp.rhyme_group for hyp in beam], req.tone, req.rhyme, req.genre)
+            masked, relaxed = constraint_mask(line, pos, dist.value, table, tmpls, groups,
+                                              req.tone, req.rhyme, req.genre)
             rows, ids, scores = candidate_pool(masked, logp, req.beam_width)
-        step_rec = {"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
-            {"prefix": hyp.text, "alpha_h": info["alpha_h"][b], "alpha_x": None
-             if info["alpha_x"] is None else info["alpha_x"][b]} for b, hyp in enumerate(beam)]}
+        records.append({"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
+            {"prefix": text, "alpha_h": info["alpha_h"][b], "alpha_x": None
+             if info["alpha_x"] is None else info["alpha_x"][b]} for b, text in enumerate(texts)]})
         if relaxed:
-            step_rec["relaxations"] = [r for _, r in relaxed]
+            records[-1]["relaxations"] = [r for _, r in relaxed]
+            for b, r in relaxed:
+                relax[b] = relax[b] + [r]
         if not len(rows):
             raise GenerationError("beam exhausted at step %d" % step)
-        rows, ids, scores = keep_best(rows, ids, scores, req.beam_width, rng)
-        binds = line == 1 and pos == L - 1 and table is not None    # line 2 binds the rhyme
-        beam = [_Hyp(text=beam[b].text + (vocab.char(idx) if kind == "char" else ""),
-                     logp=score, template=beam[b].template,
-                     rhyme_group=table.groups[idx] if binds else beam[b].rhyme_group,
-                     relaxations=beam[b].relaxations + [r for rb, r in relaxed if rb == b])
-                for b, idx, score in zip(rows.tolist(), ids.tolist(), scores.tolist())]
-        state = s_new.value[rows]
-        prev = ids
-        records.append(step_rec)
+        rows, ids, logp = keep_best(rows, ids, scores, req.beam_width, rng)
+        texts, tmpls, groups = texts[rows] + chars[ids], tmpls[rows], groups[rows]
+        relax, state, prev = relax[rows], s_new.value[rows], ids
+        if line == 1 and pos == L - 1 and table is not None:   # line 2 binds the rhyme
+            groups = table.groups[ids]
 
-    best = beam[0]
-    lines = [best.text[i * L:(i + 1) * L] for i in range(4)]
+    lines = [texts[0][i * L:(i + 1) * L] for i in range(4)]
     poem = Poem(genre=req.genre, lines=lines, source_id="generated")
-    records.append({"final_logp": best.logp,
-                    "template": best.template.template_id if best.template else None,
-                    "rhyme_group": best.rhyme_group,
-                    "relaxations": best.relaxations})
+    records.append({"final_logp": float(logp[0]),
+                    "template": tmpls[0].template_id if tmpls[0] else None,
+                    "rhyme_group": groups[0], "relaxations": relax[0]})
     return poem, records

@@ -475,7 +475,7 @@ def test_qgen_config_null_keeps_a_none_default(workdir, trained, monkeypatch):
 @pytest.mark.parametrize("cfg", [
     {"beam": 2.5}, {"beam": [2]}, {"beam": None}, {"beam": True}, {"seed": "x"},
     {"no_tone": 1}, {"no_tone": None}, {"genre": 5}, {"genre": "6"},
-    {"tone_dict": 5},
+    {"tone_dict": 5}, {"keywords": 5},
 ], ids=json.dumps)
 def test_qgen_config_wrong_value_type(workdir, trained, capsys, monkeypatch, cfg):
     (workdir / "defaults.json").write_text(json.dumps(cfg), encoding="utf-8")
@@ -525,6 +525,15 @@ def test_negative_seed_is_a_usage_error(workdir, capsys, monkeypatch, via, comma
     out-of-range number is, before an input is read."""
     test_out_of_range_numbers_are_usage_errors(workdir, capsys, monkeypatch, via,
                                                command, "--seed", -1)
+
+
+@pytest.mark.parametrize("via", ["argv", "QGEN_CONFIG"])
+@pytest.mark.parametrize("value", [" ", "\t", "\u3000", ""], ids=repr)
+def test_blank_keywords_are_a_usage_error(workdir, capsys, monkeypatch, via, value):
+    """Keywords of whitespace alone (a space, a tab, the ideographic space) or
+    none at all are refused before the checkpoint is read."""
+    test_out_of_range_numbers_are_usage_errors(workdir, capsys, monkeypatch, via,
+                                               "generate", "--keywords", value)
 
 
 def test_qgen_config_bad_file(workdir, monkeypatch):

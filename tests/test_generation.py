@@ -13,7 +13,7 @@ from qgen import model
 from qgen.cli import _emit
 from qgen.corpus import (BOS, N_RESERVED, SEP, Genre, Poem,
                          build_training_sequence, build_vocab)
-from qgen.generation import (GenerationError, GenRequest, ProsodyRules,
+from qgen.generation import (GenerationError, GenRequest, ProsodyRules, VocabTable,
                              beam_search_generate, candidate_pool, constraint_mask,
                              keep_best, position_plan)
 from qgen.model import ModelConfig, ModelParams, decode_step, encode, init_decoder_state
@@ -42,6 +42,14 @@ def world():
 
 def tables(vocab, rules):
     return rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
+
+
+def mask_row(line, pos, dist, vocab, rules, template, group, tone_on, rhyme_on, genre):
+    """constraint_mask over the one row `dist`, under `template` and bound
+    rhyme `group`: the masked row and its relaxation records."""
+    masked, relaxed = constraint_mask(line, pos, dist[None], VocabTable(tables(vocab, rules)),
+                                      [template], [group], tone_on, rhyme_on, genre)
+    return masked[0], [r for _, r in relaxed]
 
 
 def test_position_plan():
@@ -79,8 +87,7 @@ def test_beam_emits_sep_the_model_gives_no_mass(world):
 def test_mask_excludes_reserved_tokens(world):
     vocab, _, rules = world
     dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, relax = constraint_mask(0, 0, dist, tables(vocab, rules),
-                               None, None, False, False, Genre.FIVE_CHAR)
+    p, relax = mask_row(0, 0, dist, vocab, rules, None, None, False, False, Genre.FIVE_CHAR)
     assert np.all(p[:N_RESERVED] == 0.0)
     assert abs(p.sum() - 1.0) < 1e-12
     assert relax == []
@@ -91,8 +98,7 @@ def test_mask_enforces_tone_slot(world):
     template = [t for t in rules.templates if t.template_id == "wu_3"][0]
     assert template.slot(0, 4) == "P"      # known-tone slot
     dist = np.full(len(vocab), 1.0 / len(vocab))
-    p, _ = constraint_mask(0, 4, dist, tables(vocab, rules),
-                           template, None, True, True, Genre.FIVE_CHAR)
+    p, _ = mask_row(0, 4, dist, vocab, rules, template, None, True, True, Genre.FIVE_CHAR)
     from qgen.prosody import Tone
     for idx in range(N_RESERVED, len(vocab)):
         tone = rules.tone_dict.tone(vocab.char(idx))
@@ -106,14 +112,12 @@ def test_mask_rhyme_binding_and_match(world):
     vocab, _, rules = world
     dist = np.full(len(vocab), 1.0 / len(vocab))
     # line 2 final: only characters with a known rhyme group stay
-    p, _ = constraint_mask(1, 4, dist, tables(vocab, rules),
-                           None, None, False, True, Genre.FIVE_CHAR)
+    p, _ = mask_row(1, 4, dist, vocab, rules, None, None, False, True, Genre.FIVE_CHAR)
     for idx in range(N_RESERVED, len(vocab)):
         known = rules.tone_dict.rhyme_group(vocab.char(idx)) is not None
         assert (p[idx] > 0) == known
     # line 4 final: only the bound group stays
-    p, _ = constraint_mask(3, 4, dist, tables(vocab, rules),
-                           None, "ao", False, True, Genre.FIVE_CHAR)
+    p, _ = mask_row(3, 4, dist, vocab, rules, None, "ao", False, True, Genre.FIVE_CHAR)
     for idx in range(N_RESERVED, len(vocab)):
         assert (p[idx] > 0) == (rules.tone_dict.rhyme_group(vocab.char(idx)) == "ao")
 
@@ -125,8 +129,7 @@ def test_mask_relaxation_order_and_logging(world):
     dist = np.zeros(len(vocab))
     dist[SEP] = 1.0
     template = [t for t in rules.templates if t.template_id == "wu_3"][0]
-    p, relax = constraint_mask(3, 4, dist, tables(vocab, rules),
-                               template, "ao", True, True, Genre.FIVE_CHAR)
+    p, relax = mask_row(3, 4, dist, vocab, rules, template, "ao", True, True, Genre.FIVE_CHAR)
     assert [r["dropped"] for r in relax] == ["rhyme", "tone", "model"]
     assert np.all(p[:N_RESERVED] == 0.0)
     assert abs(p.sum() - 1.0) < 1e-12
@@ -172,7 +175,6 @@ def test_mask_matches_per_character_oracle(world):
     # every dictionary character, the fixture poems' characters (some of
     # them missing from the dictionary) and one more unknown character
     vocab = build_vocab(POEMS + [Poem(Genre.FIVE_CHAR, ["".join(td.tones) + "瞾"])])
-    table = tables(vocab, rules)
     rng = np.random.default_rng(0)
     dist = rng.random(len(vocab))
     dist /= dist.sum()
@@ -181,8 +183,8 @@ def test_mask_matches_per_character_oracle(world):
     groups = sorted(set(td.groups.values())) + [None]
 
     def check(line, pos, dist, template, group, tone_on, rhyme_on, genre):
-        got = constraint_mask(line, pos, dist, table, template, group,
-                              tone_on, rhyme_on, genre)
+        got = mask_row(line, pos, dist, vocab, rules, template, group,
+                       tone_on, rhyme_on, genre)
         want = reference_mask(line, pos, dist, vocab, td, template, group,
                               tone_on, rhyme_on, genre)
         assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
@@ -595,18 +597,67 @@ def test_unknown_keyword_char_warns_and_proceeds(world, caplog):
         poem, _ = beam_search_generate(req, mparams, vocab, rules)
     assert "not in vocabulary" in caplog.text
     assert validate_structure(poem.lines) == Genre.FIVE_CHAR
+    # one warning per unknown occurrence, in keyword order, across separators
+    for sep_keywords in (False, True):
+        caplog.clear()
+        req = GenRequest(keywords="瞾黑 瞾飞龘", genre=Genre.FIVE_CHAR, seed=1,
+                         sep_keywords=sep_keywords)
+        with caplog.at_level(logging.WARNING, logger="qgen.generation"):
+            beam_search_generate(req, mparams, vocab, rules)
+        assert [r.getMessage() for r in caplog.records] == [
+            "keyword char %r not in vocabulary; using UNK" % c for c in "瞾瞾龘"]
 
 
-def test_sep_keywords_mode(world):
+def test_sep_keywords_mode(world, monkeypatch):
     vocab, mparams, rules = world
-    req = GenRequest(keywords="月黑 雁飞", genre=Genre.FIVE_CHAR, beam_width=1,
-                     seed=2, sep_keywords=True)
-    poem, _ = beam_search_generate(req, mparams, vocab, rules)
-    assert validate_structure(poem.lines) == Genre.FIVE_CHAR
+    encoded = []
+    monkeypatch.setattr("qgen.generation.encode",
+                        lambda ids, *args: encoded.append(list(ids)) or encode(ids, *args))
+
+    def keyword_ids(keywords, sep_keywords):
+        req = GenRequest(keywords=keywords, genre=Genre.FIVE_CHAR, beam_width=1,
+                         seed=2, sep_keywords=sep_keywords)
+        poem, _ = beam_search_generate(req, mparams, vocab, rules)
+        assert validate_structure(poem.lines) == Genre.FIVE_CHAR
+        return encoded.pop()
+
+    moon, geese = vocab.encode("月黑"), vocab.encode("雁飞")
+    assert keyword_ids("月黑 雁飞", True) == moon + [SEP] + geese
     # without the flag the whitespace is simply squeezed out
-    req2 = GenRequest(keywords="月黑 雁飞", genre=Genre.FIVE_CHAR, beam_width=1, seed=2)
-    poem2, _ = beam_search_generate(req2, mparams, vocab, rules)
-    assert validate_structure(poem2.lines) == Genre.FIVE_CHAR
+    assert keyword_ids("月黑 雁飞", False) == moon + geese
+    # any run of whitespace between keywords is one separator; around them, none
+    for keywords in ("月黑   雁飞", "月黑\t雁飞", "月黑\u3000雁飞", " 月黑 \u3000\t雁飞\n"):
+        assert keyword_ids(keywords, True) == moon + [SEP] + geese
+        assert keyword_ids(keywords, False) == moon + geese
+    for keywords in (" 月黑雁飞", "月黑雁飞\t", "\u3000月黑雁飞\u3000"):
+        assert keyword_ids(keywords, True) == keyword_ids(keywords, False) == moon + geese
+
+
+def test_one_rules_serves_vocabularies_and_dictionaries_in_turn(world, tmp_path):
+    """ProsodyRules keeps the table of the last vocabulary and tone dictionary
+    it served: switching the vocabulary, switching back, or replacing the
+    dictionary searches as fresh rules do."""
+    vocab_a, mparams, rules = world
+    vocab_b = build_vocab(POEMS[::-1])      # the same characters under other ids
+    assert len(vocab_b) == len(vocab_a) and vocab_b.chars != vocab_a.chars
+    flipped = tmp_path / "flipped.tsv"      # every tone swapped, every group renamed
+    flipped.write_text("".join("%s\t%s\tx%s\n" % (c, "Z" if t == Tone.PING else "P",
+                                                    rules.tone_dict.groups[c])
+                               for c, t in rules.tone_dict.tones.items()), encoding="utf-8")
+    shared = ProsodyRules(tone_dict=rules.tone_dict, templates=rules.templates)
+    searches = set()
+    for vocab, tone_dict in ((vocab_a, rules.tone_dict), (vocab_b, rules.tone_dict),
+                             (vocab_a, rules.tone_dict), (vocab_a, load_tone_dict(flipped))):
+        shared.tone_dict = tone_dict
+        fresh = ProsodyRules(tone_dict=tone_dict, templates=rules.templates)
+        for genre, beam in ((Genre.FIVE_CHAR, 3), (Genre.SEVEN_CHAR, 2)):
+            req = GenRequest(keywords="月黑雁飞高", genre=genre, beam_width=beam, seed=beam)
+            poem, records = beam_search_generate(req, mparams, vocab, shared)
+            want, expect = beam_search_generate(req, mparams, vocab, fresh)
+            assert poem.lines == want.lines
+            assert [written(r) for r in records] == [written(r) for r in expect]
+            searches.add("".join(written(r) for r in records))
+    assert len(searches) == 6               # vocabulary B and the flipped dictionary search anew
 
 
 def test_no_templates_for_genre_errors(world):
