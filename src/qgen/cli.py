@@ -7,7 +7,8 @@ generated poem itself is plain UTF-8 text.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 validation failed.
 A JSON defaults file may be pointed to by the QGEN_CONFIG environment
-variable; its keys are the long flag names with dashes as underscores.
+variable; its keys are the long flag names with dashes as underscores, and
+any other key is a usage error.
 """
 
 import argparse
@@ -324,7 +325,12 @@ def _apply_env_config(ap, sub):
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise ValueError("QGEN_CONFIG %s must hold a JSON object" % path)
-    for parser in [ap] + list(sub.choices.values()):
+    parsers = [ap] + list(sub.choices.values())
+    declared = {a.dest for parser in parsers for a in parser._actions}
+    for key in cfg:
+        if key not in declared:                 # a misspelled key would set nothing
+            raise ValueError("unknown key %s" % (key if key.isprintable() else json.dumps(key)))
+    for parser in parsers:
         parser.set_defaults(**{a.dest: _config_value(a, cfg[a.dest])
                                for a in parser._actions if a.dest in cfg})
 

@@ -1,13 +1,16 @@
-"""Encoder-decoder network: bi-GRU encoder, GRU decoder, dual attention.
+"""Encoder-decoder network: bi-GRU encoder, GRU decoder, attention heads.
 
 Parameters live in a flat {name: ndarray} dict so the optimizer and the
 checkpoint format can treat them uniformly. Each forward pass wraps them in
 tape Nodes; gradients are read back off those wrappers after backward().
 
-The decoder attends both on the encoder hidden states and on the raw input
-character embeddings; both contexts are concatenated into the decoder input
-and into the output projection. Genre is injected through a fixed unit-norm
-indicator vector mixed into the initial decoder state.
+The decoder's attention heads are one table, `ModelConfig.heads`: "h" reads
+the encoder states and, with input attention on, "x" the raw input character
+embeddings. Each is the additive attention of Bahdanau et al. (2015) with its
+own attn_<head>.{W,U,v}; parameter shapes, encoder memories and decoder steps
+follow the table, whose contexts feed the decoder input and the output
+projection. Genre is injected through a fixed unit-norm indicator vector
+mixed into the initial decoder state.
 """
 
 from dataclasses import dataclass
@@ -36,24 +39,19 @@ class ModelConfig:
             raise ValueError("vocab_size, d, H and H_dec must be >= 1")
 
     @property
-    def dec_input_dim(self):
-        dim = self.d + 2 * self.H
+    def heads(self):
+        """{head: memory width} in context order: "h" over the 2H encoder states,
+        then "x" over the d-wide input embeddings if input attention is on."""
+        heads = {"h": 2 * self.H}
         if self.use_input_attention:
-            dim += self.d
-        return dim
-
-    @property
-    def out_input_dim(self):
-        dim = self.H_dec + 2 * self.H
-        if self.use_input_attention:
-            dim += self.d
-        return dim
+            heads["x"] = self.d
+        return heads
 
 
-def make_type_indicators(seed, dim=INDICATOR_DIM, matrix=None):
+def make_type_indicators(seed, matrix=None):
     """Fixed genre indicators: unit eigenvectors of a random symmetric matrix.
 
-    A dim x dim matrix is drawn uniform in [-1,1] from the seed and
+    An INDICATOR_DIM-square matrix is drawn uniform in [-1,1] from the seed and
     symmetrized as (M+M^T)/2 so the spectrum is real; the unit eigenvectors of
     the two largest eigenvalues become the 5-char and 7-char indicators. Signs
     are fixed so the first nonzero component is positive. `matrix` is a test
@@ -61,12 +59,12 @@ def make_type_indicators(seed, dim=INDICATOR_DIM, matrix=None):
     """
     if matrix is None:
         rng = np.random.Generator(np.random.PCG64(seed))
-        matrix = rng.uniform(-1.0, 1.0, size=(dim, dim))
+        matrix = rng.uniform(-1.0, 1.0, size=(INDICATOR_DIM, INDICATOR_DIM))
     matrix = np.asarray(matrix, dtype=np.float64)
     sym = 0.5 * (matrix + matrix.T)
     w, v = np.linalg.eigh(sym)          # ascending eigenvalues
     picks = []
-    for col in (dim - 1, dim - 2):      # two largest; eigh orders ties by index
+    for col in (-1, -2):                # two largest; eigh orders ties by index
         vec = v[:, col]
         vec = vec / np.linalg.norm(vec)
         nz = np.nonzero(vec)[0]
@@ -76,28 +74,24 @@ def make_type_indicators(seed, dim=INDICATOR_DIM, matrix=None):
     return {Genre.FIVE_CHAR: picks[0], Genre.SEVEN_CHAR: picks[1]}
 
 
-def _gru_shapes(n, H):
-    return {"Wz": (H, n), "Uz": (H, H), "bz": (H,),
-            "Wr": (H, n), "Ur": (H, H), "br": (H,),
-            "Wh": (H, n), "Uh": (H, H), "bh": (H,)}
+def _gru_shapes(prefix, n, H):
+    """The GRU_KEYS under prefix: W* (H, n) read the input, U* (H, H) the state."""
+    return {"%s.%s" % (prefix, k): {"W": (H, n), "U": (H, H), "b": (H,)}[k[0]]
+            for k in GRU_KEYS}
 
 
 def param_shapes(cfg):
-    """Every trainable tensor, keyed by identifier."""
+    """Every trainable tensor, keyed by identifier, in initialize's draw order."""
+    ctx = sum(cfg.heads.values())       # width of the concatenated contexts
     shapes = {"emb": (cfg.vocab_size, cfg.d)}
-    for prefix in ("enc_f", "enc_b"):
-        for k, s in _gru_shapes(cfg.d, cfg.H).items():
-            shapes["%s.%s" % (prefix, k)] = s
-    for k, s in _gru_shapes(cfg.dec_input_dim, cfg.H_dec).items():
-        shapes["dec.%s" % k] = s
-    shapes["attn_h.W"] = (cfg.H_dec, cfg.H_dec)
-    shapes["attn_h.U"] = (cfg.H_dec, 2 * cfg.H)
-    shapes["attn_h.v"] = (cfg.H_dec,)
-    if cfg.use_input_attention:
-        shapes["attn_x.W"] = (cfg.H_dec, cfg.H_dec)
-        shapes["attn_x.U"] = (cfg.H_dec, cfg.d)
-        shapes["attn_x.v"] = (cfg.H_dec,)
-    shapes["out.W"] = (cfg.vocab_size, cfg.out_input_dim)
+    for prefix, n, H in (("enc_f", cfg.d, cfg.H), ("enc_b", cfg.d, cfg.H),
+                         ("dec", cfg.d + ctx, cfg.H_dec)):
+        shapes.update(_gru_shapes(prefix, n, H))
+    for head, width in cfg.heads.items():
+        shapes["attn_%s.W" % head] = (cfg.H_dec, cfg.H_dec)
+        shapes["attn_%s.U" % head] = (cfg.H_dec, width)
+        shapes["attn_%s.v" % head] = (cfg.H_dec,)
+    shapes["out.W"] = (cfg.vocab_size, cfg.H_dec + ctx)
     shapes["out.b"] = (cfg.vocab_size,)
     shapes["init.W"] = (cfg.H_dec, cfg.H + INDICATOR_DIM)
     shapes["init.b"] = (cfg.H_dec,)
@@ -118,9 +112,8 @@ class ModelParams:
     @classmethod
     def initialize(cls, cfg):
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        tensors = {}
-        for name, shape in param_shapes(cfg).items():
-            tensors[name] = rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape)
+        tensors = {name: rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape)
+                   for name, shape in param_shapes(cfg).items()}
         indicators = make_type_indicators(cfg.seed)
         return cls(cfg, tensors, indicators)
 
@@ -137,15 +130,23 @@ def gru_subparams(nodes, prefix):
 class EncoderOutput:
     """Attention memories of an encoded sequence, or of a (B, T) batch.
 
-    A memory stacks T positions on its second-to-last axis: (T, dim) for a
-    sequence, (B, T, dim) for a batch. Each head's keys are computed here once
-    and shared by every decoder step.
+    `memories` maps each head of `ModelConfig.heads`, in order, to its memory
+    and keys: "h" the forward || backward states, "x" the embedding rows. A
+    memory stacks T positions on its second-to-last axis, (T, width) or
+    (B, T, width); its (..., T, H_dec) keys are computed here once and shared
+    by every decoder step.
     """
-    states: nm.Node         # (..., T, 2H): forward || backward states
-    input_vectors: nm.Node  # (..., T, d): embedding rows
-    keys_h: nm.Node         # (..., T, A): keys of the state head
-    keys_x: object          # (..., T, A) keys of the input head, or None
+    memories: dict          # {head: (memory node, keys node)}
     back_final: nm.Node     # backward chain's final state (at position 0)
+
+
+def _gru_chain(xs, h, p):
+    """The states of a GRU run from state h over the input nodes xs."""
+    states = []
+    for x in xs:
+        h = nm.gru_cell(x, h, p)
+        states.append(h)
+    return states
 
 
 def encode(input_ids, nodes, cfg):
@@ -162,42 +163,27 @@ def encode(input_ids, nodes, cfg):
     emb = nodes["emb"]
     xs = [nm.embedding_rows(emb, ids[..., t]) for t in range(ids.shape[-1])]
     zero = nm.constant(np.zeros(ids.shape[:-1] + (cfg.H,), dtype=emb.value.dtype))
-    pf = gru_subparams(nodes, "enc_f")
-    pb = gru_subparams(nodes, "enc_b")
-    fwd = []
-    h = zero
-    for x in xs:
-        h = nm.gru_cell(x, h, pf)
-        fwd.append(h)
-    bwdstates = [None] * len(xs)
-    h = zero
-    for i in reversed(range(len(xs))):
-        h = nm.gru_cell(xs[i], h, pb)
-        bwdstates[i] = h
-    states = nm.concat([nm.stack(fwd), nm.stack(bwdstates)])
-    inputs = nm.stack(xs)
-    keys_x = None
-    if cfg.use_input_attention:
-        keys_x = nm.attention_keys(inputs, nodes["attn_x.U"])
-    return EncoderOutput(states=states, input_vectors=inputs,
-                         keys_h=nm.attention_keys(states, nodes["attn_h.U"]),
-                         keys_x=keys_x, back_final=bwdstates[0])
+    fwd = _gru_chain(xs, zero, gru_subparams(nodes, "enc_f"))
+    bwd = _gru_chain(xs[::-1], zero, gru_subparams(nodes, "enc_b"))[::-1]
+    memory = {"h": nm.concat([nm.stack(fwd), nm.stack(bwd)]), "x": nm.stack(xs)}
+    memories = {head: (memory[head], nm.attention_keys(memory[head], nodes["attn_%s.U" % head]))
+                for head in cfg.heads}
+    return EncoderOutput(memories=memories, back_final=bwd[0])
 
 
 def decode_recurrence(s_prev, y_prev_id, enc, nodes, cfg):
     """The recurrent half of a decoder step: attend and advance the GRU.
 
-    Attends over the encoder states and, if enabled, the input embeddings.
+    Each head of `enc.memories` attends over its memory, in table order.
     Returns (s_new, features, info): features = [s_new || contexts] feeds
     output_projection() alone, so teacher forcing can project all steps at
-    once; info holds the weights alpha_h and alpha_x (None if off) as arrays.
+    once; info holds each head's weights alpha_<head> (alpha_x None if off).
     """
     contexts, info = [], {"alpha_x": None}
-    for head, M, K in (("h", enc.states, enc.keys_h), ("x", enc.input_vectors, enc.keys_x)):
-        if K is not None:
-            ctx, info["alpha_" + head] = nm.attend(s_prev, M, K, nodes["attn_%s.W" % head],
-                                                   nodes["attn_%s.v" % head])
-            contexts.append(ctx)
+    for head, (M, K) in enc.memories.items():
+        ctx, info["alpha_" + head] = nm.attend(s_prev, M, K, nodes["attn_%s.W" % head],
+                                               nodes["attn_%s.v" % head])
+        contexts.append(ctx)
     y_emb = nm.embedding_rows(nodes["emb"], y_prev_id)
     s_new = nm.gru_cell(nm.concat([y_emb] + contexts), s_prev, gru_subparams(nodes, "dec"))
     features = nm.concat([s_new] + contexts)
@@ -225,5 +211,4 @@ def init_decoder_state(enc, genre, nodes, indicators):
     vec = indicators[genre].astype(W.value.dtype, copy=False)
     back = enc.back_final
     ind = nm.constant(np.broadcast_to(vec, back.value.shape[:-1] + vec.shape))
-    joined = nm.concat([back, ind])
-    return nm.tanh(nm.affine(W, joined, nodes["init.b"]))
+    return nm.tanh(nm.affine(W, nm.concat([back, ind]), nodes["init.b"]))

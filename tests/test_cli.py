@@ -475,7 +475,7 @@ def test_qgen_config_null_keeps_a_none_default(workdir, trained, monkeypatch):
 @pytest.mark.parametrize("cfg", [
     {"beam": 2.5}, {"beam": [2]}, {"beam": None}, {"beam": True}, {"seed": "x"},
     {"no_tone": 1}, {"no_tone": None}, {"genre": 5}, {"genre": "6"},
-    {"tone_dict": 5}, {"keywords": 5},
+    {"tone_dict": 5}, {"keywords": 5}, {"beams": 1, "sead": 4},
 ], ids=json.dumps)
 def test_qgen_config_wrong_value_type(workdir, trained, capsys, monkeypatch, cfg):
     (workdir / "defaults.json").write_text(json.dumps(cfg), encoding="utf-8")

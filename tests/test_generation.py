@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -313,7 +314,8 @@ def per_hypothesis_beam(req, mparams, vocab, rules):
             rec["candidates"].append({
                 "prefix": "".join(vocab.char(t) for t in hyp["tokens"] if t >= N_RESERVED),
                 "alpha_h": np.round(info["alpha_h"], 6).tolist(),
-                "alpha_x": np.round(info["alpha_x"], 6).tolist()})
+                "alpha_x": None if info["alpha_x"] is None
+                else np.round(info["alpha_x"], 6).tolist()})
         tie = rng.random(len(pool))
         order = sorted(range(len(pool)), key=lambda i: (-pool[i][0], tie[i]))
         beam = [pool[i][1] for i in order[:req.beam_width]]
@@ -336,6 +338,11 @@ BEAM_REQUESTS = [
                             ("朝辞白帝", Genre.SEVEN_CHAR, 7 + beam))
 ] + [dict(keywords="月黑 雁飞", genre=Genre.FIVE_CHAR, beam_width=beam, seed=2,
           sep_keywords=True) for beam in (1, 3, 5)]
+# the same search from a model without the input attention head
+NO_INPUT_ATTENTION = [
+    dict(keywords=kw, genre=genre, beam_width=beam, seed=beam, input_attention=False)
+    for beam in (1, 3)
+    for kw, genre in (("月黑雁飞高", Genre.FIVE_CHAR), ("朝辞白帝", Genre.SEVEN_CHAR))]
 
 
 def request_id(kw):
@@ -343,12 +350,18 @@ def request_id(kw):
                     if k != "keywords")
 
 
-@pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
+@pytest.mark.parametrize("kw", BEAM_REQUESTS + NO_INPUT_ATTENTION, ids=request_id)
 def test_batched_beam_equals_per_hypothesis_loop(world, kw):
     """The beam decodes its hypotheses as rows of one batch; it must give
-    the per-hypothesis loop's poem, step records and final score."""
+    the per-hypothesis loop's poem, step records and final score. Without
+    the input attention head every candidate's alpha_x is None."""
     vocab, mparams, rules = world
-    assert_beam_matches_oracle(GenRequest(**kw), mparams, vocab, rules)
+    kw = dict(kw)
+    if not kw.pop("input_attention", True):
+        mparams = ModelParams.initialize(replace(mparams.cfg, use_input_attention=False))
+    records = assert_beam_matches_oracle(GenRequest(**kw), mparams, vocab, rules)
+    alpha_x = [c["alpha_x"] for rec in records[:-1] for c in rec["candidates"]]
+    assert alpha_x and all((a is None) != mparams.cfg.use_input_attention for a in alpha_x)
 
 
 def assert_beam_matches_oracle(req, mparams, vocab, rules):

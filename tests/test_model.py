@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qgen import numerics as nm
-from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab
+from qgen.corpus import BOS, N_RESERVED, Genre, Poem, build_vocab
 from qgen.embeddings import EmbeddingMatrix
 from qgen.model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_step,
                         encode, init_decoder_state, make_type_indicators,
@@ -57,7 +57,53 @@ def test_param_shapes_match_initialized_tensors():
     # input attention off drops the second attention head and shrinks inputs
     cfg2, mp2 = small_model(use_input_attention=False)
     assert "attn_x.W" not in mp2.tensors
-    assert cfg2.dec_input_dim == cfg.dec_input_dim - cfg.d
+    assert mp2.tensors["dec.Wz"].shape[1] == mp.tensors["dec.Wz"].shape[1] - cfg.d
+
+
+def _gru(prefix, n, H):
+    return [(prefix + ".Wz", (H, n)), (prefix + ".Uz", (H, H)), (prefix + ".bz", (H,)),
+            (prefix + ".Wr", (H, n)), (prefix + ".Ur", (H, H)), (prefix + ".br", (H,)),
+            (prefix + ".Wh", (H, n)), (prefix + ".Uh", (H, H)), (prefix + ".bh", (H,))]
+
+
+def test_param_shapes_order_is_pinned():
+    """The ordered (name, shape) list is initialize's draw order and the
+    checkpoint header's tensor map: d 2, H 3, H_dec 5, V 17, each input
+    attention setting."""
+    on = (_gru("enc_f", 2, 3) + _gru("enc_b", 2, 3) + _gru("dec", 10, 5)
+          + [("attn_h.W", (5, 5)), ("attn_h.U", (5, 6)), ("attn_h.v", (5,)),
+             ("attn_x.W", (5, 5)), ("attn_x.U", (5, 2)), ("attn_x.v", (5,)),
+             ("out.W", (17, 13)), ("out.b", (17,)), ("init.W", (5, 203)), ("init.b", (5,))])
+    off = (_gru("enc_f", 2, 3) + _gru("enc_b", 2, 3) + _gru("dec", 8, 5)
+           + [("attn_h.W", (5, 5)), ("attn_h.U", (5, 6)), ("attn_h.v", (5,)),
+              ("out.W", (17, 11)), ("out.b", (17,)), ("init.W", (5, 203)), ("init.b", (5,))])
+    for flag, want in ((True, on), (False, off)):
+        cfg = ModelConfig(vocab_size=17, d=2, H=3, H_dec=5, use_input_attention=flag)
+        assert list(param_shapes(cfg).items()) == [("emb", (17, 2))] + want
+
+
+def test_sequence_loss_gradients_without_input_attention():
+    """Finite differences of a B=2 teacher-forced sequence loss through the
+    model with the input attention head off, under acceptance 1's 1e-4."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        cfg = ModelConfig(vocab_size=16, d=5, H=4, H_dec=6, use_input_attention=False,
+                          seed=seed)
+        mp = ModelParams.initialize(cfg)
+        inputs, targets = rng.integers(5, 16, size=(2, 5)), rng.integers(5, 16, size=(2, 6))
+
+        def build(nodes):
+            enc = encode(inputs, nodes, cfg)
+            s = init_decoder_state(enc, Genre.FIVE_CHAR, nodes, mp.indicators)
+            prev, terms = np.full(2, BOS), []
+            for t in range(targets.shape[1]):
+                s, dist, info = decode_step(s, prev, enc, nodes, cfg)
+                assert info["alpha_x"] is None
+                terms.append(nm.mean_all(nm.cross_entropy_rows(dist, targets[:, t])))
+                prev = targets[:, t]
+            return nm.mean_of(terms)
+        res = nm.grad_check(build, mp.tensors, sample=3, rng=np.random.default_rng(seed))
+        assert res["max_rel_error"] < 1e-4, (seed, res["worst"])
 
 
 def test_pretrained_vectors_are_used():
@@ -92,12 +138,12 @@ def test_encoder_reversal_symmetry():
     H = cfg.H
     T = len(ids)
     for i in range(T):
-        mirrored = enc2.states.value[T - 1 - i]
-        np.testing.assert_allclose(enc.states.value[i, :H], mirrored[H:], atol=1e-12)
-        np.testing.assert_allclose(enc.states.value[i, H:], mirrored[:H], atol=1e-12)
+        mirrored = enc2.memories["h"][0].value[T - 1 - i]
+        np.testing.assert_allclose(enc.memories["h"][0].value[i, :H], mirrored[H:], atol=1e-12)
+        np.testing.assert_allclose(enc.memories["h"][0].value[i, H:], mirrored[:H], atol=1e-12)
     # the reversed run's back_final is the original forward chain's final state
     np.testing.assert_allclose(enc2.back_final.value,
-                               enc.states.value[-1, :H], atol=1e-12)
+                               enc.memories["h"][0].value[-1, :H], atol=1e-12)
 
 
 def test_encode_batch_matches_vector_path():
@@ -107,8 +153,8 @@ def test_encode_batch_matches_vector_path():
     for b, ids in enumerate(seqs):
         encv = encode(ids, mp.wrap(), cfg)
         for t in range(len(ids)):
-            np.testing.assert_allclose(encb.states.value[b, t],
-                                       encv.states.value[t], atol=1e-12)
+            np.testing.assert_allclose(encb.memories["h"][0].value[b, t],
+                                       encv.memories["h"][0].value[t], atol=1e-12)
         np.testing.assert_allclose(encb.back_final.value[b],
                                    encv.back_final.value, atol=1e-12)
 
@@ -169,7 +215,7 @@ def test_float32_parameters_encode_and_start_decoding_in_float32():
     enc = encode(np.array([[5, 6, 7], [8, 9, 10]]), nodes, cfg)
     s0 = init_decoder_state(enc, Genre.FIVE_CHAR, nodes, mp.indicators)    # float64 indicators
     s1, dist, info = decode_step(s0, np.array([6, 9]), enc, nodes, cfg)
-    for value in (enc.states.value, enc.keys_h.value, enc.back_final.value, s0.value,
+    for value in (*(node.value for node in enc.memories["h"]), enc.back_final.value, s0.value,
                   s1.value, dist.value, info["alpha_h"], info["alpha_x"]):
         assert value.dtype == np.float32
 

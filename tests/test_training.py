@@ -3,7 +3,7 @@
 import json
 import os
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -230,29 +230,32 @@ def test_teacher_forced_argmax_shape(setup):
 
 def test_teacher_forced_matches_per_step_decode(setup):
     """The stacked (B, T, V) projection of teacher forcing equals one
-    decode_step per position, and so do the argmax predictions."""
-    _, _, examples, cfg = setup
-    mp = ModelParams.initialize(cfg)
-    train(examples, mp, TrainConfig(epochs=5, minibatch=2, seed=3))
-    batch = [e for e in examples if e.genre == Genre.SEVEN_CHAR]
-    assert len(batch) == 2
-    dists = _teacher_forced(batch, mp.wrap(), mp).value
+    decode_step per position, and so do the argmax predictions, with the
+    input attention head and without it."""
+    _, _, examples, with_x = setup
+    for cfg in (with_x, replace(with_x, use_input_attention=False)):
+        mp = ModelParams.initialize(cfg)
+        train(examples, mp, TrainConfig(epochs=5, minibatch=2, seed=3))
+        batch = [e for e in examples if e.genre == Genre.SEVEN_CHAR]
+        assert len(batch) == 2
+        dists = _teacher_forced(batch, mp.wrap(), mp).value
 
-    nodes = mp.wrap()
-    targets = np.array([e.target_ids for e in batch])
-    enc = encode(np.array([e.input_ids for e in batch]), nodes, cfg)
-    s = init_decoder_state(enc, Genre.SEVEN_CHAR, nodes, mp.indicators)
-    prev = np.full(len(batch), BOS)
-    steps = []
-    for t in range(targets.shape[1]):
-        s, dist, _ = decode_step(s, prev, enc, nodes, cfg)
-        steps.append(dist.value)
-        prev = targets[:, t]
-    expect = np.stack(steps, axis=1)
-    assert dists.shape == expect.shape == targets.shape + (cfg.vocab_size,)
-    np.testing.assert_allclose(dists, expect, rtol=0, atol=1e-12)
-    for b, ex in enumerate(batch):
-        assert teacher_forced_argmax(ex, mp) == [int(np.argmax(p)) for p in expect[b]]
+        nodes = mp.wrap()
+        targets = np.array([e.target_ids for e in batch])
+        enc = encode(np.array([e.input_ids for e in batch]), nodes, cfg)
+        s = init_decoder_state(enc, Genre.SEVEN_CHAR, nodes, mp.indicators)
+        prev = np.full(len(batch), BOS)
+        steps = []
+        for t in range(targets.shape[1]):
+            s, dist, info = decode_step(s, prev, enc, nodes, cfg)
+            assert (info["alpha_x"] is None) != cfg.use_input_attention
+            steps.append(dist.value)
+            prev = targets[:, t]
+        expect = np.stack(steps, axis=1)
+        assert dists.shape == expect.shape == targets.shape + (cfg.vocab_size,)
+        np.testing.assert_allclose(dists, expect, rtol=0, atol=1e-12)
+        for b, ex in enumerate(batch):
+            assert teacher_forced_argmax(ex, mp) == [int(np.argmax(p)) for p in expect[b]]
 
 
 def test_training_is_deterministic(setup):
