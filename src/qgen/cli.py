@@ -224,7 +224,9 @@ def cmd_embed(args):
                          negatives=args.negatives, epochs=args.epochs,
                          seed=args.seed)
     emb.save_text(args.out)
-    _emit({"chars": len(emb.chars), "d": emb.d, "out": args.out})
+    w, n = args.window, len(stream)     # n >= w + 1, or training raised
+    _emit({"chars": len(emb.chars), "d": emb.d, "out": args.out,
+           "pairs": args.epochs * (2 * w * n - w * (w + 1))})
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ import qgen
 from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_header
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, _emit, main
 from qgen.corpus import Genre
+from qgen.embeddings import skipgram_pairs
 from qgen.generation import GenRequest, ProsodyRules, beam_search_generate
 from qgen.prosody import load_templates, load_tone_dict
 from qgen.training import load_checkpoint
@@ -415,13 +416,32 @@ def test_embed_and_reuse(workdir, capsys):
     assert main(["embed", "--corpus", "c.txt", "--out", "emb.txt",
                  "--d", "8", "--window", "2", "--negatives", "2"]) == EXIT_OK
     info = json.loads(capsys.readouterr().out)
-    assert list(info) == ["chars", "d", "out"]
+    assert list(info) == ["chars", "d", "out", "pairs"]
     assert info["d"] == 8 and info["chars"] > 0
     assert (workdir / "emb.txt").exists()
     code = main(["train", "--corpus", "c.txt", "--genre", "5", "--epochs", "1",
                  "--d", "8", "--H", "8", "--H-dec", "8",
                  "--pretrained-embeddings", "emb.txt", "--out", "m.ckpt"])
     assert code == EXIT_OK
+
+
+SEVEN = "白日依山尽黄河|入海流欲穷千里|目更上一层楼月|黑雁飞高单于夜"
+
+
+@pytest.mark.parametrize("poems, window, epochs", [
+    ([FIVE], 1, 1), ([FIVE], 3, 2), ([FIVE], 19, 1), ([FIVE], 19, 3),
+    ([FIVE, SEVEN], 5, 2), ([FIVE, SEVEN], 47, 1), ([SEVEN], 27, 2),
+])
+def test_embed_reports_the_pairs_it_trained(workdir, capsys, poems, window, epochs):
+    """`pairs` is epochs * (2wn - w(w+1)), the pairs skipgram_pairs lists
+    over the stream of n >= w+1 characters, down to n = w+1."""
+    (workdir / "c.txt").write_text("\n".join(poems) + "\n", encoding="utf-8")
+    assert main(["embed", "--corpus", "c.txt", "--out", "emb.txt", "--d", "2",
+                 "--window", str(window), "--negatives", "1",
+                 "--epochs", str(epochs)]) == EXIT_OK
+    stream = "".join(poems).replace("|", "")
+    assert json.loads(capsys.readouterr().out)["pairs"] == \
+        epochs * len(list(skipgram_pairs(stream, window)))
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,9 +9,9 @@ from conftest import BAD_EMBEDDINGS, data_path
 from qgen import embeddings
 from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab, parse_corpus
 from qgen.model import ModelConfig, ModelParams
-from qgen.embeddings import (SGD_LR, EmbeddingMatrix,
-                             negative_sampling_table, pair_loss,
-                             pair_loss_grads, skipgram_pairs, train_skipgram)
+from qgen.embeddings import (SGD_LR, EmbeddingMatrix, center_loss,
+                             center_loss_grads, negative_sampling_table,
+                             skipgram_pairs, train_skipgram)
 
 
 def cosine(a, b):
@@ -19,8 +19,9 @@ def cosine(a, b):
 
 
 def reference_skipgram(chars, window, d, negatives, epochs, seed):
-    """The per-pair loop: one draw per pair, gradients from the rows as they
-    were before the pair, then one update per negative, in draw order."""
+    """The per-center loop: one draw of negatives per center, shared by its
+    pairs; every pair's gradients from the rows as they were before the
+    center; then the output-row updates in turn and the center's summed step."""
     order = list(dict.fromkeys(chars))
     ids = [order.index(c) for c in chars]
     neg_p = negative_sampling_table(np.bincount(ids, minlength=len(order)))
@@ -28,20 +29,26 @@ def reference_skipgram(chars, window, d, negatives, epochs, seed):
     V = len(order)
     vec_in = rng.uniform(-0.5 / d, 0.5 / d, size=(V, d))
     vec_out = np.zeros((V, d))
+    n = len(ids)
     for _ in range(epochs):
-        for i, j in skipgram_pairs(ids, window):
-            c, ctx = ids[i], ids[j]
+        for i in range(n):
+            c = ids[i]
+            contexts = [ids[j] for j in range(max(0, i - window), min(n, i + window + 1))
+                        if j != i]
             negs = rng.choice(V, size=negatives, p=neg_p)
-            u, v = vec_in[c], vec_out[ctx]
-            gpos = 1.0 / (1.0 + np.exp(-np.dot(u, v))) - 1.0
-            du, dv, dnegs = gpos * v, gpos * u, []
-            for k in negs:
-                gneg = 1.0 / (1.0 + np.exp(-np.dot(u, vec_out[k])))
-                du = du + gneg * vec_out[k]
-                dnegs.append(gneg * u)
-            vec_out[ctx] -= SGD_LR * dv
-            for k, dn in zip(negs, dnegs):
-                vec_out[k] -= SGD_LR * dn
+            u = vec_in[c].copy()
+            du, updates = np.zeros(d), []
+            for ctx in contexts:
+                v = vec_out[ctx]
+                gpos = 1.0 / (1.0 + np.exp(-np.dot(u, v))) - 1.0
+                du = du + gpos * v
+                updates.append((ctx, gpos * u))
+                for k in negs:
+                    gneg = 1.0 / (1.0 + np.exp(-np.dot(u, vec_out[k])))
+                    du = du + gneg * vec_out[k]
+                    updates.append((k, gneg * u))
+            for row, dv in updates:
+                vec_out[row] -= SGD_LR * dv
             vec_in[c] = u - SGD_LR * du
     return order, vec_in
 
@@ -62,24 +69,25 @@ def test_negative_sampling_table():
     assert p[0] < p[1] < p[2]
 
 
-def test_pair_loss_grads_match_finite_differences():
+@pytest.mark.parametrize("n_ctx", [1, 3, 10])
+def test_center_loss_grads_match_finite_differences(n_ctx):
     rng = np.random.default_rng(0)
     h = 1e-6
     for trial in range(20):
         d = 5
         u = rng.normal(size=d)
-        rows = [rng.normal(size=d) for _ in range(4)]    # the context, then 3 negatives
-        if trial % 2:                       # rows as a (k+1, d) array
+        rows = [rng.normal(size=d) for _ in range(n_ctx + 3)]  # the contexts, then 3 negatives
+        if trial % 2:                       # rows as a (n_ctx + k, d) array
             rows = np.array(rows)
-        du, drows = pair_loss_grads(u, rows)
+        du, drows = center_loss_grads(u, rows, n_ctx)
 
         def fd(vec, grad):
             for i in range(d):
                 orig = vec[i]
                 vec[i] = orig + h
-                fp = pair_loss(u, rows)
+                fp = center_loss(u, rows, n_ctx)
                 vec[i] = orig - h
-                fm = pair_loss(u, rows)
+                fm = center_loss(u, rows, n_ctx)
                 vec[i] = orig
                 assert abs(grad[i] - (fp - fm) / (2 * h)) < 1e-5
         fd(u, du)
@@ -92,8 +100,12 @@ def test_pair_loss_grads_match_finite_differences():
      5, 5),
     # 5 draws from 3 characters: every draw repeats a negative
     (list("甲乙丙"), 2, 5),
-], ids=["sample corpus", "repeated negatives"])
-def test_training_matches_per_pair_reference(stream, window, negatives):
+    # every window holds a context twice, beside distinct negatives
+    (list("甲乙" * 20), 3, 2),
+    # a window as wide as the stream: every center sees every other character
+    (list("白日依山尽黄河入海流"), 9, 3),
+], ids=["sample corpus", "repeated negatives", "repeated contexts", "window spans the stream"])
+def test_training_matches_per_center_reference(stream, window, negatives):
     order, expect = reference_skipgram(stream, window, 16, negatives, 2, seed=3)
     got = train_skipgram(stream, window=window, d=16, negatives=negatives,
                          epochs=2, seed=3)
@@ -101,18 +113,20 @@ def test_training_matches_per_pair_reference(stream, window, negatives):
     np.testing.assert_allclose(got.matrix, expect, rtol=1e-10, atol=1e-12)
 
 
-def test_training_calls_the_pair_kernel_once_per_pair(monkeypatch):
-    """The benchmark's tracer counts pairs as calls of this module attribute."""
+def test_training_calls_the_center_kernel_once_per_center(monkeypatch):
+    """One kernel call per character of the stream per epoch, through the
+    module attribute, so that a tracer can wrap it."""
     calls = []
-    kernel = embeddings.pair_loss_grads
+    kernel = embeddings.center_loss_grads
 
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-    monkeypatch.setattr(embeddings, "pair_loss_grads", counted)
+    def counted(u, rows, n_ctx):
+        calls.append(n_ctx)
+        return kernel(u, rows, n_ctx)
+    monkeypatch.setattr(embeddings, "center_loss_grads", counted)
     stream = list("白日依山尽黄河入海流" * 3)
     train_skipgram(stream, window=3, d=4, negatives=2, epochs=2, seed=0)
-    assert len(calls) == 2 * len(list(skipgram_pairs(stream, 3)))
+    assert len(calls) == 2 * len(stream)
+    assert sum(calls) == 2 * len(list(skipgram_pairs(stream, 3)))
 
 
 def test_training_deterministic():

@@ -1,7 +1,7 @@
 """The benchmark's own self-test, at toy size, as part of the suite.
 
 The benchmark calls and traces qgen functions by name (`skipgram_pairs`,
-`pair_loss_grads`, `constraint_mask`, ...), so a refactor that renames or
+`train_skipgram`, `constraint_mask`, ...), so a refactor that renames or
 breaks one of them fails here rather than only when the benchmark runs.
 """
 
