@@ -33,7 +33,7 @@ from .model import ModelConfig, ModelParams
 from .prosody import (ProsodyError, compliance_report, load_templates,
                       load_tone_dict, read_lines, templates_for)
 from .training import (CheckpointError, GenreMode, TrainConfig,
-                       load_checkpoint, save_checkpoint, train)
+                       load_checkpoint, save_checkpoint, train, training_bytes)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -111,6 +111,14 @@ def _check_writable(args):
             os.remove(path)
 
 
+def _physical_memory():
+    """The machine's physical memory in bytes, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _load_rules(args):
     tone_dict = load_tone_dict(args.tone_dict) if args.tone_dict else None
     templates = load_templates(args.templates) if args.templates else []
@@ -145,6 +153,10 @@ def cmd_train(args):
                        H_dec=args.H_dec,
                        use_input_attention=not args.no_input_attention,
                        seed=args.seed)
+    need, have = training_bytes(mcfg), _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError("training this model needs %d bytes for its parameters, and the "
+                          "machine has %d bytes of memory" % (need, have))
     mparams = ModelParams.initialize(mcfg)
     if args.pretrained_embeddings:
         emb = EmbeddingMatrix.load_text(args.pretrained_embeddings)

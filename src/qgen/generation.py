@@ -8,7 +8,8 @@ position are relaxed in the order rhyme -> tone, and every relaxation of a rule
 in force is logged. The beam is its rows: hypothesis b is row b of each array
 the search keeps, re-indexed by each position's survivors. One decoder call,
 one mask and one top-k per character position serve all rows, and a SEP
-position, whose token is forced, skips the projection onto the vocabulary.
+position, whose token is forced, skips the projection onto the vocabulary. A
+lone row with no rule in force takes its argmax. Searches decode `laid_out`.
 """
 
 import logging
@@ -141,6 +142,16 @@ def candidate_pool(masked, logp, k):
     return rows, flat - rows * V, logp[rows] + np.log(masked.ravel()[flat])
 
 
+def first_maximum(dist, logp):
+    """The kept (row, id, score) of one unmasked row: its first maximum over the
+    characters, scored by its share of their mass in float64; None if no mass."""
+    p = dist[0, N_RESERVED:]
+    mass = p.sum(dtype=np.float64)
+    if mass > 0.0:                  # not zero, nor NaN: no "model" fallback
+        i = int(p.argmax())
+        return np.zeros(1, np.intp), np.array([N_RESERVED + i]), logp + np.log(p[i] / mass)
+
+
 def keep_best(rows, ids, scores, width, rng):
     """The `width` best of a pool by descending score, ties by one draw per entry."""
     kept = np.lexsort((rng.random(len(rows)), -scores))[:width]
@@ -165,6 +176,7 @@ def beam_search_generate(req, mparams, vocab, rules):
     if (req.tone or req.rhyme) and rules.tone_dict is None:
         raise GenerationError("tone and rhyme constraints need a tone dictionary")
     table = None if rules.tone_dict is None else rules.vocab_table(vocab)
+    mparams = mparams.laid_out()
     cfg, nodes = mparams.cfg, mparams.wrap()
     text = (" " if req.sep_keywords else "").join(req.keywords.split())    # " ": a SEP
     ids = [SEP if c == " " else vocab.id(c) for c in text]
@@ -184,14 +196,19 @@ def beam_search_generate(req, mparams, vocab, rules):
     records = []
 
     for step, (kind, line, pos) in enumerate(position_plan(req.genre)):
+        picked, relaxed = None, []
         if kind == "sep":               # forced: no model mass is spent
             s_new, _, info = decode_recurrence(constant(state), prev, enc, nodes, cfg)
-            rows, ids, scores, relaxed = np.arange(len(logp)), np.full(len(logp), SEP), logp, []
+            rows, ids, scores = np.arange(len(logp)), np.full(len(logp), SEP), logp
         else:
             s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
-            masked, relaxed = constraint_mask(line, pos, dist.value, table, tmpls, groups,
-                                              req.tone, req.rhyme, req.genre)
-            rows, ids, scores = candidate_pool(masked, logp, req.beam_width)
+            if len(logp) == req.beam_width == 1 and not req.tone and not (
+                    req.rhyme and pos == L - 1 and line in (1, 3)):    # no rule in force
+                picked = first_maximum(dist.value, logp)
+            if not picked:
+                masked, relaxed = constraint_mask(line, pos, dist.value, table, tmpls, groups,
+                                                  req.tone, req.rhyme, req.genre)
+            rows, ids, scores = picked or candidate_pool(masked, logp, req.beam_width)
         records.append({"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
             {"prefix": text, "alpha_h": info["alpha_h"][b], "alpha_x": None
              if info["alpha_x"] is None else info["alpha_x"][b]} for b, text in enumerate(texts)]})
@@ -201,7 +218,7 @@ def beam_search_generate(req, mparams, vocab, rules):
                 relax[b] = relax[b] + [r]
         if not len(rows):
             raise GenerationError("beam exhausted at step %d" % step)
-        rows, ids, logp = keep_best(rows, ids, scores, req.beam_width, rng)
+        rows, ids, logp = picked or keep_best(rows, ids, scores, req.beam_width, rng)
         texts, tmpls, groups = texts[rows] + chars[ids], tmpls[rows], groups[rows]
         relax, state, prev = relax[rows], s_new.value[rows], ids
         if line == 1 and pos == L - 1 and table is not None:   # line 2 binds the rhyme

@@ -101,6 +101,16 @@ def param_shapes(cfg):
 INIT_RANGE = 0.08
 
 
+def for_generation(name, arr):
+    """A tensor as every search decodes it: float32, which halves the bytes
+    every decoder product streams, and, for every weight matrix but `emb`
+    (whose rows are gathered), column-major, so the decoder's `x @ W.T` at a
+    beam's few rows reads a contiguous `W.T`, which the BLAS multiplies
+    faster. A tensor so laid out, as a loaded checkpoint's, comes back as is."""
+    arr = np.asarray(arr, dtype=np.float32)
+    return np.asfortranarray(arr) if arr.ndim == 2 and name != "emb" else arr
+
+
 class ModelParams:
     """Trainable tensors plus the two fixed genre indicators."""
 
@@ -108,6 +118,17 @@ class ModelParams:
         self.cfg = cfg
         self.tensors = tensors
         self.indicators = indicators
+        self._laid_out = None
+
+    def laid_out(self):
+        """The model under `for_generation`, built when a search first reads it
+        and kept; after that the tensors change in place only through
+        `train_epoch`, which drops it. A loaded checkpoint's holds its arrays."""
+        if self._laid_out is None:
+            laid = [{k: for_generation(k, v) for k, v in d.items()}
+                    for d in (self.tensors, self.indicators)]
+            self._laid_out = ModelParams(self.cfg, *laid)
+        return self._laid_out
 
     @classmethod
     def initialize(cls, cfg):

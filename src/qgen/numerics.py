@@ -2,8 +2,8 @@
 
 Every op computes in the dtype of its inputs. Training runs each minibatch
 in float32 on a copy of float64 master weights, which adadelta_step updates
-in float64; gradient checking runs in float64; and a checkpoint loaded to
-generate runs in float32, which halves the bytes a product streams. The tape
+in float64; gradient checking runs in float64; and every search decodes in
+float32, which halves the bytes a product streams. The tape
 is a plain DAG of Node objects. Ops on the recurrent hot path (GRU cell,
 additive attention) are fused into single nodes with hand-derived backward
 passes. Every op has one formula for a single vector and a (batch, dim)
@@ -482,7 +482,8 @@ ADADELTA_BLOCK = 1 << 14      # elements per block: a block's operands stay in c
 
 
 def adadelta_step(params, grads, state):
-    """One AdaDelta update, in place on `params` (dict name -> ndarray).
+    """One AdaDelta update, in place on `params` (dict name -> ndarray);
+    returns the global L2 norm of `grads`.
 
     E[g^2] <- rho E[g^2] + (1-rho) g^2
     dx      = -sqrt(E[dx^2]+eps)/sqrt(E[g^2]+eps) * g
@@ -492,14 +493,20 @@ def adadelta_step(params, grads, state):
     through three scratch buffers allocated once per call, by the same ufuncs
     in the same order: whole-tensor bits when E[.] is no narrower than `grads`.
     """
+    sumsq = 0.0
     for name, g in grads.items():
         if name not in params:
             raise KeyError("gradient for unknown parameter %r" % name)
         if g.shape != params[name].shape:
             raise ShapeError("grad shape %s != param shape %s for %r"
                              % (g.shape, params[name].shape, name))
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient for %r; step aborted" % name)
+        sq = float(np.vdot(g, g))      # inf or NaN if g holds one, or if the sum overflows
+        if not np.isfinite(sq):
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError("non-finite gradient for %r; step aborted" % name)
+            g64 = g.astype(np.float64)
+            sq = float(np.vdot(g64, g64))
+        sumsq += sq
     rho, eps = state.rho, state.epsilon
     size = max([ADADELTA_BLOCK] + [g[0].size for g in grads.values() if g.ndim and len(g)])
     raw = [np.empty(8 * size, np.uint8) for _ in range(3)]     # viewed in each tensor's dtypes
@@ -523,6 +530,7 @@ def adadelta_step(params, grads, state):
     for name in params:
         if name not in grads:
             state.eg2[name] *= rho
+    return float(np.sqrt(sumsq))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ indicators, which generation reads. The header's `tensors` maps each name to
 its shape, in the same order. The header also holds the hyper parameters and
 the vocabulary as its characters in id order after the reserved tokens. It
 holds no optimizer state, so training cannot resume from a checkpoint. A
-checkpoint is read only to generate, so it is where a model to generate turns
-float32.
+checkpoint is read only to generate, so it is read straight into the layout
+that `model.for_generation` gives every search.
 """
 
 import json
@@ -35,7 +35,7 @@ import numpy as np
 from . import numerics as nm
 from .corpus import BOS, N_RESERVED, Genre, Vocab
 from .model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_recurrence, encode,
-                    init_decoder_state, output_projection, param_shapes)
+                    for_generation, init_decoder_state, output_projection, param_shapes)
 
 
 class GenreMode(Enum):
@@ -87,9 +87,11 @@ def _teacher_forced(examples, nodes, mparams):
 def batch_loss(examples, mparams):
     """Loss and gradients for a genre-pure minibatch in one tape pass.
 
-    Returns (per_example_losses, grads); the gradients are those of the mean
-    per-example loss, i.e. already averaged over the batch (all targets of a
-    batch have one length, so that is the mean over every target position).
+    Returns (per_example_losses, grads, clamped); the gradients are those of
+    the mean per-example loss, i.e. already averaged over the batch (all
+    targets of a batch have one length, so that is the mean over every target
+    position), and `clamped` counts the targets whose probability the loss
+    floored at PROB_FLOOR.
     """
     nodes = mparams.wrap()
     dists = _teacher_forced(examples, nodes, mparams)
@@ -97,7 +99,8 @@ def batch_loss(examples, mparams):
     loss = nm.cross_entropy_rows(dists, targets)                # (B, T)
     nm.backward(nm.mean_all(loss))
     grads = {k: n.grad for k, n in nodes.items() if n.grad is not None}
-    return loss.value.mean(axis=1), grads
+    p = np.take_along_axis(dists.value, targets[..., None], axis=-1)
+    return loss.value.mean(axis=1), grads, int((p < nm.PROB_FLOOR).sum())
 
 
 def teacher_forced_argmax(example, mparams):
@@ -111,6 +114,8 @@ class EpochReport:
     epoch: int
     mean_loss: float
     genre_loss: dict = field(default_factory=dict)     # genre name -> mean loss
+    clamped: int = 0        # targets whose probability the loss floored at PROB_FLOOR
+    grad_norm: float = 0.0  # the largest global L2 norm of a minibatch's gradients
 
 
 def _check_genre_mode(examples, mode):
@@ -143,15 +148,24 @@ def _genre_pure_batches(examples, order, minibatch):
     return batches
 
 
+def training_bytes(cfg):
+    """The bytes training holds for the parameters of `cfg`: the float64 masters
+    and two float64 AdaDelta accumulators, and each minibatch's float32 compute
+    copy and float32 gradients."""
+    return (3 * 8 + 2 * 4) * sum(math.prod(s) for s in param_shapes(cfg).values())
+
+
 def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
     """One pass over the examples, shuffled by `rng`; one AdaDelta step per minibatch,
-    whose float32 gradients come from a float32 copy of the float64 masters."""
+    whose float32 gradients come from a float32 copy of the float64 masters.
+    The steps change the masters in place, so the model's `laid_out` is dropped."""
     if not examples:
         raise ValueError("no training examples")
     _check_genre_mode(examples, config.genre_mode)
+    mparams._laid_out = None
     order = np.arange(len(examples))
     rng.shuffle(order)
-    total = 0.0
+    total, clamped, grad_norm = 0.0, 0, 0.0
     genre_tot = {}
     genre_n = {}
     for idxs in _genre_pure_batches(examples, order, config.minibatch):
@@ -159,7 +173,8 @@ def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
         compute = ModelParams(mparams.cfg,
                               {k: v.astype(np.float32) for k, v in mparams.tensors.items()},
                               mparams.indicators)
-        losses, grads = batch_loss(batch, compute)
+        losses, grads, n_clamped = batch_loss(batch, compute)
+        clamped += n_clamped
         for ex, loss in zip(batch, losses.tolist()):
             if not math.isfinite(loss):
                 raise FloatingPointError("non-finite loss on example %r (epoch %d)"
@@ -167,10 +182,11 @@ def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
             total += loss
             genre_tot[ex.genre] = genre_tot.get(ex.genre, 0.0) + loss
             genre_n[ex.genre] = genre_n.get(ex.genre, 0) + 1
-        nm.adadelta_step(mparams.tensors, grads, opt_state)
+        grad_norm = max(grad_norm, nm.adadelta_step(mparams.tensors, grads, opt_state))
     return EpochReport(epoch=epoch,
                        mean_loss=total / len(examples),
-                       genre_loss={g.name: genre_tot[g] / genre_n[g] for g in genre_tot})
+                       genre_loss={g.name: genre_tot[g] / genre_n[g] for g in genre_tot},
+                       clamped=clamped, grad_norm=grad_norm)
 
 
 def train(examples, mparams, config, stop_below_loss=None, log_fn=None):
@@ -211,16 +227,6 @@ def _write_tensor(f, name, arr):
     if (np.isinf(data) & np.isfinite(arr)).any():
         raise CheckpointError("tensor %r holds a finite value beyond float32 range" % name)
     f.write(data.tobytes())
-
-
-def for_generation(name, arr):
-    """A tensor as a loaded checkpoint holds it: float32, which halves the
-    bytes every decoder product streams, and, for every weight matrix but
-    `emb` (whose rows are gathered), column-major, so the decoder's `x @ W.T`
-    at a beam's few rows reads a contiguous `W.T`, which the BLAS multiplies
-    faster."""
-    arr = np.asarray(arr, dtype=np.float32)
-    return np.asfortranarray(arr) if arr.ndim == 2 and name != "emb" else arr
 
 
 def save_checkpoint(path, mparams, opt_state, vocab, step, train_seed):

@@ -11,7 +11,7 @@ import pytest
 
 from qgen.corpus import build_training_sequence, build_vocab, parse_corpus
 from qgen.model import ModelConfig, ModelParams
-from qgen.training import GenreMode, TrainConfig, for_generation, train
+from qgen.training import GenreMode, TrainConfig, train
 
 ACCEPTANCE_LINES = []
 
@@ -41,14 +41,6 @@ def edit_checkpoint_header(blob, edit):
     header = edit(json.loads(blob[16:16 + hlen].decode("utf-8")))
     hb = json.dumps(header, ensure_ascii=False).encode("utf-8")
     return blob[:8] + struct.pack("<Q", len(hb)) + hb + blob[16 + hlen:]
-
-
-def laid_out_for_generation(mparams):
-    """An in-memory model as load_checkpoint returns it: every tensor passed
-    through the loader's own cast and layout rule."""
-    return ModelParams(mparams.cfg,
-                       {k: for_generation(k, v) for k, v in mparams.tensors.items()},
-                       {g: for_generation("ind", v) for g, v in mparams.indicators.items()})
 
 
 # Header edits that each make a checkpoint malformed, with the error they give.

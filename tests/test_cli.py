@@ -14,12 +14,14 @@ import pytest
 
 import qgen
 from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_header
+from qgen import cli
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, _emit, main
-from qgen.corpus import Genre
+from qgen.corpus import Genre, build_vocab, parse_corpus
 from qgen.embeddings import skipgram_pairs
 from qgen.generation import GenRequest, ProsodyRules, beam_search_generate
 from qgen.prosody import load_templates, load_tone_dict
-from qgen.training import load_checkpoint
+from qgen.model import ModelConfig, ModelParams
+from qgen.training import load_checkpoint, training_bytes
 
 FIVE = "月黑雁飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
 SPACED = "月黑 飞高|单于夜遁逃|欲将轻骑逐|大雪满弓刀"
@@ -44,6 +46,29 @@ def trained(tmp_path_factory):
     return str(out / "toy.ckpt")
 
 
+def test_train_refuses_a_model_larger_than_memory(workdir, capsys, monkeypatch):
+    """A model whose training would not fit in the machine's memory exits 1
+    with one line before any parameter is allocated: dims in the millions
+    against the real memory, and a toy model against one byte too few."""
+    train = ["train", "--corpus", data_path("overfit_corpus.txt"), "--epochs", "1",
+             "--out", "big.ckpt"]
+    toy = ["--d", "4", "--H", "4", "--H-dec", "4"]
+    vocab = build_vocab(parse_corpus(data_path("overfit_corpus.txt")).poems)
+    need = training_bytes(ModelConfig(vocab_size=len(vocab), d=4, H=4, H_dec=4))
+    with monkeypatch.context() as m:
+        m.setattr(ModelParams, "initialize",
+                  classmethod(lambda cls, cfg: pytest.fail("parameters allocated")))
+        assert main(train + ["--d", "2000000", "--H", "3000000"]) == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("qgen: out of memory: training this model")
+        m.setattr(cli, "_physical_memory", lambda: need - 1)
+        assert main(train + toy) == EXIT_FAILURE
+        assert ("needs %d bytes" % need) in capsys.readouterr().err
+        assert not os.listdir(workdir)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert main(train + toy) == EXIT_OK
+
+
 def test_train_writes_checkpoint_and_manifest(workdir, capsys):
     code = main(["train", "--corpus", data_path("overfit_corpus.txt"),
                  "--epochs", "1", "--d", "8", "--H", "8", "--H-dec", "8",
@@ -52,7 +77,9 @@ def test_train_writes_checkpoint_and_manifest(workdir, capsys):
     assert (workdir / "m.ckpt").exists()
     lines = capsys.readouterr().out.strip().splitlines()
     report = json.loads(lines[0])
-    assert list(report) == ["epoch", "mean_loss", "genre_loss"]
+    assert list(report) == ["epoch", "mean_loss", "genre_loss", "clamped", "grad_norm"]
+    assert type(report["clamped"]) is int and report["clamped"] >= 0
+    assert type(report["grad_norm"]) is float and 0.0 < report["grad_norm"] < float("inf")
     manifest = json.loads((workdir / "train.manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["seeds"]["seed"] == 0

@@ -9,8 +9,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import data_path, laid_out_for_generation
+from conftest import data_path
 from qgen import model
+from qgen import numerics as nm
 from qgen.cli import _emit
 from qgen.corpus import (BOS, N_RESERVED, SEP, Genre, Poem,
                          build_training_sequence, build_vocab)
@@ -21,7 +22,7 @@ from qgen.model import ModelConfig, ModelParams, decode_step, encode, init_decod
 from qgen.prosody import (Tone, ToneDict, load_templates, load_tone_dict,
                           match_tonal_template, slot_allows, templates_for,
                           validate_structure)
-from qgen.training import TrainConfig, load_checkpoint, save_checkpoint, train
+from qgen.training import TrainConfig, load_checkpoint, save_checkpoint, train, train_epoch
 
 POEMS = [
     Poem(Genre.FIVE_CHAR, ["月黑雁飞高", "单于夜遁逃", "欲将轻骑逐", "大雪满弓刀"]),
@@ -245,12 +246,13 @@ def test_generation_structure_and_determinism(world):
 
 def test_beam_one_equals_greedy_argmax(world):
     """With constraints off, beam width 1 is the structurally-masked greedy
-    decode; replay it by hand and compare token for token."""
+    decode; replay it by hand on the searched layout and compare token for token."""
     vocab, mparams, rules = world
     req = GenRequest(keywords="床前明月光", genre=Genre.FIVE_CHAR, beam_width=1,
                      tone=False, rhyme=False, seed=0)
     poem, _ = beam_search_generate(req, mparams, vocab, rules)
 
+    mparams = mparams.laid_out()
     cfg = mparams.cfg
     nodes = mparams.wrap()
     enc = encode(vocab.encode("床前明月光"), nodes, cfg)
@@ -273,7 +275,8 @@ def test_beam_one_equals_greedy_argmax(world):
 def per_hypothesis_beam(req, mparams, vocab, rules):
     """Reference beam search: one vector decode_step per live hypothesis, each
     hypothesis carrying its own state and previous id, masked by the
-    per-character reference_mask."""
+    per-character reference_mask. It decodes the tensors as given: pass
+    `mparams.laid_out()` for those the search decodes."""
     bindings = templates_for(rules.templates, req.genre) if req.tone else [None]
     table = rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
     cfg, nodes = mparams.cfg, mparams.wrap()
@@ -313,9 +316,7 @@ def per_hypothesis_beam(req, mparams, vocab, rules):
                                     "group": group, "relax": hyp["relax"] + relax}))
             rec["candidates"].append({
                 "prefix": "".join(vocab.char(t) for t in hyp["tokens"] if t >= N_RESERVED),
-                "alpha_h": np.round(info["alpha_h"], 6).tolist(),
-                "alpha_x": None if info["alpha_x"] is None
-                else np.round(info["alpha_x"], 6).tolist()})
+                "alpha_h": info["alpha_h"], "alpha_x": info["alpha_x"]})
         tie = rng.random(len(pool))
         order = sorted(range(len(pool)), key=lambda i: (-pool[i][0], tie[i]))
         beam = [pool[i][1] for i in order[:req.beam_width]]
@@ -366,7 +367,8 @@ def test_batched_beam_equals_per_hypothesis_loop(world, kw):
 
 def assert_beam_matches_oracle(req, mparams, vocab, rules):
     poem, records = beam_search_generate(req, mparams, vocab, rules)
-    assert_same_search(poem.lines, records, *per_hypothesis_beam(req, mparams, vocab, rules))
+    assert_same_search(poem.lines, records,
+                       *per_hypothesis_beam(req, mparams.laid_out(), vocab, rules))
     return records
 
 
@@ -389,39 +391,43 @@ def assert_same_search(lines, records, want_lines, expect):
 
 @pytest.fixture(scope="module")
 def trained_and_reloaded(world, tmp_path_factory):
-    """A toy model trained in memory, that model passed through the loader's
-    cast and layout rule, and the model saved and reloaded, which holds it in
-    float32 with its weight matrices column-major."""
+    """A toy model trained in memory, its layout for generation, and the model
+    saved and reloaded, which holds it in float32 with its weight matrices
+    column-major."""
     vocab, mparams, _ = world
     trained = ModelParams.initialize(mparams.cfg)
     examples = [build_training_sequence(p, vocab) for p in POEMS]
     train(examples, trained, TrainConfig(epochs=3, minibatch=2, seed=5))
     path = str(tmp_path_factory.mktemp("ckpt") / "toy.ckpt")
     save_checkpoint(path, trained, None, vocab, 3, 5)
-    return trained, laid_out_for_generation(trained), load_checkpoint(path)[0]
+    return trained, trained.laid_out(), load_checkpoint(path)[0]
 
 
 @pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
 def test_reloaded_checkpoint_generates_as_trained_model(world, trained_and_reloaded, kw):
-    """The file holds exactly the in-memory model under the loader's cast and layout."""
+    """The file holds exactly the in-memory model's layout for generation, and
+    a search from memory, from that layout and from the file writes the same
+    poem and records, bit for bit."""
     vocab, _, rules = world
-    _, laid_out, reloaded = trained_and_reloaded
     req = GenRequest(**kw)
-    poem, records = beam_search_generate(req, reloaded, vocab, rules)
-    want, expect = beam_search_generate(req, laid_out, vocab, rules)
-    assert_same_search(poem.lines, records, want.lines, expect)
+    (want, expect), *others = [beam_search_generate(req, m, vocab, rules)
+                               for m in trained_and_reloaded]
+    for poem, records in others:
+        assert poem.lines == want.lines
+        assert [written(r) for r in records] == [written(r) for r in expect]
 
 
 @pytest.mark.parametrize("kw", BEAM_REQUESTS, ids=request_id)
 def test_float32_checkpoint_generates_the_float64_poems(world, trained_and_reloaded, kw):
-    """Decoding in float32 moves no poem and scores within 1e-5 of float64,
-    and the writer prints its step records' attention weights to 6 decimals."""
+    """Decoding in float32 moves no poem of the float64 oracle and scores
+    within 1e-5 of it, and the writer prints its step records' attention
+    weights to 6 decimals."""
     vocab, _, rules = world
     trained, _, reloaded = trained_and_reloaded
     req = GenRequest(**kw)
     poem, records = beam_search_generate(req, reloaded, vocab, rules)
-    want, expect = beam_search_generate(req, trained, vocab, rules)
-    assert poem.lines == want.lines
+    want_lines, expect = per_hypothesis_beam(req, trained, vocab, rules)
+    assert poem.lines == want_lines
     got_final, want_final = dict(records[-1]), dict(expect[-1])
     assert abs(got_final.pop("final_logp") - want_final.pop("final_logp")) <= 1e-5
     assert got_final == want_final
@@ -429,6 +435,61 @@ def test_float32_checkpoint_generates_the_float64_poems(world, trained_and_reloa
     weights = [w for rec in logged for cand in rec["candidates"]
                for w in cand["alpha_h"] + (cand["alpha_x"] or [])]
     assert weights and all(round(w, 6) == w for w in weights)
+
+
+def test_layout_is_built_once_and_a_checkpoint_is_its_own(trained_and_reloaded):
+    """An in-memory model's layout is float32, its weight matrices but `emb`
+    column-major, and built once; a loaded checkpoint's holds its own arrays."""
+    trained, laid_out, reloaded = trained_and_reloaded
+    assert trained.laid_out() is laid_out
+    for name, v in laid_out.tensors.items():
+        assert v.dtype == np.float32, name
+        np.testing.assert_array_equal(v, trained.tensors[name].astype(np.float32))
+        assert v.ndim == 1 or v.flags.f_contiguous == (name != "emb"), name
+    assert reloaded.laid_out() is reloaded.laid_out()
+    for mine, theirs in ((reloaded.tensors, reloaded.laid_out().tensors),
+                         (reloaded.indicators, reloaded.laid_out().indicators)):
+        assert mine.keys() == theirs.keys()
+        assert all(theirs[k] is v for k, v in mine.items())
+
+
+def test_search_after_an_epoch_reads_the_new_weights(world):
+    """train_epoch steps the masters in place after a search has laid them
+    out: the next search decodes the stepped weights, as a fresh copy does."""
+    vocab, mparams, rules = world
+    model = ModelParams.initialize(mparams.cfg)
+    req = GenRequest(keywords="月黑雁飞高", genre=Genre.FIVE_CHAR, beam_width=3, seed=1)
+    before = [written(r) for r in beam_search_generate(req, model, vocab, rules)[1]]
+    examples = [build_training_sequence(p, vocab) for p in POEMS]
+    train_epoch(examples, model, nm.AdaDeltaState(model.tensors), TrainConfig(minibatch=2),
+                np.random.default_rng(0))
+    after = [written(r) for r in beam_search_generate(req, model, vocab, rules)[1]]
+    fresh = ModelParams(model.cfg, {k: v.copy() for k, v in model.tensors.items()},
+                        model.indicators)
+    expect = [written(r) for r in beam_search_generate(req, fresh, vocab, rules)[1]]
+    assert after == expect != before
+
+
+@pytest.mark.parametrize("tone, rhyme, dropped, masked", [
+    (False, False, None, 0), (False, True, None, 2), (True, False, None, 20),
+    (False, False, "model", 20)], ids=["free", "rhyme", "tone", "no-mass"])
+def test_beam_one_masks_only_where_a_rule_is_in_force(world, monkeypatch, tone, rhyme,
+                                                      dropped, masked):
+    """At beam 1 a position with no rule in force takes the argmax and skips
+    constraint_mask, unless its row has no character mass; every position
+    where a rule is in force is masked."""
+    vocab = world[0]
+    mparams, rules = relaxing_setup(world, dropped) if dropped else world[1:]
+    calls = []
+    mask = constraint_mask
+    monkeypatch.setattr("qgen.generation.constraint_mask",
+                        lambda line, pos, *a: calls.append((line, pos)) or mask(line, pos, *a))
+    req = GenRequest(keywords="月黑雁飞高", genre=Genre.FIVE_CHAR, beam_width=1,
+                     tone=tone, rhyme=rhyme, seed=3)
+    beam_search_generate(req, mparams, vocab, rules)
+    assert len(calls) == masked
+    if rhyme and not tone:
+        assert calls == [(1, 4), (3, 4)]
 
 
 def relaxing_setup(world, dropped):
@@ -589,7 +650,8 @@ def test_separator_steps_skip_the_projection(world, monkeypatch, genre):
     poem, records = beam_search_generate(req, mparams, vocab, rules)
     monkeypatch.undo()
     assert len(projected) == 4 * genre.value
-    assert_same_search(poem.lines, records, *per_hypothesis_beam(req, mparams, vocab, rules))
+    assert_same_search(poem.lines, records,
+                       *per_hypothesis_beam(req, mparams.laid_out(), vocab, rules))
 
 
 def test_equal_probabilities_rank_by_ascending_id(world):

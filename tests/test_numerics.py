@@ -508,6 +508,21 @@ def test_adadelta_rejects_nonfinite_grads_before_mutation():
     assert np.all(state.eg2["x"] == 0.0)
 
 
+def test_adadelta_step_returns_the_global_gradient_norm():
+    """The L2 norm of all gradients as one vector, also where a float32 sum
+    of squares overflows, and in either memory order."""
+    rng = np.random.default_rng(0)
+    params = {"x": np.zeros((3, 2)), "y": np.zeros(8), "z": np.zeros((2, 3))}
+    for big in (0.0, 1e19):             # 8 squares of 1e38 sum beyond float32's range
+        grads = {"x": rng.standard_normal((3, 2)).astype(np.float32),
+                 "y": np.full(8, big, dtype=np.float32),
+                 "z": np.asfortranarray(rng.standard_normal((2, 3)))}
+        want = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
+        got = nm.adadelta_step(params, grads, nm.AdaDeltaState(params))
+        assert type(got) is float and np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-6)
+
+
 def test_adadelta_decays_unvisited_accumulators():
     params = {"x": np.array([0.0]), "y": np.array([0.0])}
     state = nm.AdaDeltaState(params, rho=0.5)

@@ -8,14 +8,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import BAD_HEADERS, edit_checkpoint_header, laid_out_for_generation
+from conftest import BAD_HEADERS, edit_checkpoint_header
 from qgen import numerics as nm
 from qgen.corpus import BOS, N_RESERVED, Genre, Poem, build_training_sequence, build_vocab
 from qgen.model import (INDICATOR_DIM, ModelConfig, ModelParams, decode_step, encode,
-                        init_decoder_state, param_shapes)
+                        for_generation, init_decoder_state, param_shapes)
 from qgen.training import (VERSION, CheckpointError, GenreMode, TrainConfig,
                            _check_genre_mode, _genre_pure_batches, _teacher_forced,
-                           _write_tensor, batch_loss, for_generation, load_checkpoint,
+                           _write_tensor, batch_loss, load_checkpoint,
                            save_checkpoint, teacher_forced_argmax, train, train_epoch)
 
 POEMS_5 = [
@@ -47,7 +47,7 @@ def test_uniform_model_loss_is_log_vocab(setup):
     mp = ModelParams.initialize(cfg)
     for k in mp.tensors:
         mp.tensors[k][:] = 0.0
-    losses, _ = batch_loss([examples[0]], mp)
+    losses, _, _ = batch_loss([examples[0]], mp)
     assert abs(losses[0] - np.log(len(vocab))) < 1e-12
 
 
@@ -73,7 +73,7 @@ def test_batch_loss_matches_per_example_reference(setup):
     _, _, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
     batch = [e for e in examples if e.genre == Genre.FIVE_CHAR]
-    losses, grads = batch_loss(batch, mp)
+    losses, grads, _ = batch_loss(batch, mp)
     singles = [reference_loss(e, mp) for e in batch]
     np.testing.assert_allclose(losses, [l for l, _ in singles], atol=1e-10)
     # batch grads equal the mean of the per-example grads
@@ -94,10 +94,10 @@ def test_batch_loss_grads_match_per_step_weight_gradients(setup, monkeypatch):
     mp = ModelParams.initialize(cfg)
     for genre in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
         batch = [e for e in examples if e.genre == genre]
-        losses, grads = batch_loss(batch, mp)
+        losses, grads, _ = batch_loss(batch, mp)
         with monkeypatch.context() as m:
             m.setattr(nm, "_acc_outer", lambda node, a, b: nm._acc(node, a.T @ b))
-            ref_losses, ref_grads = batch_loss(batch, mp)
+            ref_losses, ref_grads, _ = batch_loss(batch, mp)
         np.testing.assert_array_equal(losses, ref_losses)
         assert grads.keys() == ref_grads.keys()
         for name in grads:
@@ -122,8 +122,8 @@ def test_float32_batch_loss_tracks_float64(setup):
                        mp.indicators)
     for genre in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR):
         batch = [e for e in examples if e.genre == genre]
-        losses, grads = batch_loss(batch, mp)
-        losses32, grads32 = batch_loss(batch, mp32)
+        losses, grads, _ = batch_loss(batch, mp)
+        losses32, grads32, _ = batch_loss(batch, mp32)
         assert losses32.dtype == np.float32
         np.testing.assert_allclose(losses32, losses, rtol=0, atol=1e-5)
         assert grads32.keys() == grads.keys()
@@ -139,15 +139,17 @@ def test_train_epoch_steps_float64_masters_with_float32_grads(setup, monkeypatch
     _, _, examples, cfg = setup
     mp = ModelParams.initialize(cfg)
     opt = nm.AdaDeltaState(mp.tensors)
-    fed = []
+    fed, norms = [], []
     step = nm.adadelta_step
 
     def recording_step(params, grads, state):
         fed.append({k: g.dtype for k, g in grads.items()})
-        step(params, grads, state)
+        norms.append(np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values())))
+        return step(params, grads, state)
     monkeypatch.setattr(nm, "adadelta_step", recording_step)
-    train_epoch(examples, mp, opt, TrainConfig(minibatch=2), np.random.default_rng(0))
+    report = train_epoch(examples, mp, opt, TrainConfig(minibatch=2), np.random.default_rng(0))
     assert len(fed) == 3                   # 3 five-char examples in 2 batches, 2 seven-char in 1
+    assert report.grad_norm == pytest.approx(max(norms), rel=1e-5)
     for dtypes in fed:
         assert dtypes and set(dtypes.values()) == {np.dtype(np.float32)}
     for name, v in mp.tensors.items():
@@ -166,9 +168,34 @@ def test_epoch_report_is_json(setup):
     _, (report,), _ = train(examples, mp, TrainConfig(epochs=1, minibatch=2, seed=1))
     assert type(report.mean_loss) is float
     assert all(type(v) is float for v in report.genre_loss.values())
+    assert type(report.clamped) is int and report.clamped >= 0
+    assert type(report.grad_norm) is float and 0.0 < report.grad_norm < np.inf
     line = json.loads(json.dumps(asdict(report)))
     assert line == {"epoch": 0, "mean_loss": report.mean_loss,
-                    "genre_loss": report.genre_loss}
+                    "genre_loss": report.genre_loss, "clamped": report.clamped,
+                    "grad_norm": report.grad_norm}
+
+
+def test_batch_loss_counts_the_targets_it_floors(setup):
+    """A target the model gives less than PROB_FLOOR is floored and counted,
+    in float64 and in float32, and the epoch reports the sum over its
+    minibatches."""
+    _, vocab, examples, cfg = setup
+    mp = ModelParams.initialize(cfg)
+    batch = [e for e in examples if e.genre == Genre.FIVE_CHAR]
+    assert batch_loss(batch, mp)[2] == 0
+    rare = batch[0].target_ids[0]
+    mp.tensors["out.b"][rare] = -60.0          # e^-60 is far below the floor
+    want = sum(list(e.target_ids).count(rare) for e in batch)
+    mp32 = ModelParams(cfg, {k: v.astype(np.float32) for k, v in mp.tensors.items()},
+                       mp.indicators)
+    for model in (mp, mp32):
+        losses, _, clamped = batch_loss(batch, model)
+        assert type(clamped) is int and clamped == want > 0
+        assert np.all(losses <= -np.log(nm.PROB_FLOOR))
+    report = train_epoch(examples, mp, nm.AdaDeltaState(mp.tensors), TrainConfig(minibatch=2),
+                         np.random.default_rng(0))
+    assert report.clamped == sum(list(e.target_ids).count(rare) for e in examples)
 
 
 def test_batch_loss_rejects_mixed_genres(setup):
@@ -285,7 +312,7 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     assert mp2.cfg == cfg
     assert vocab2.char_to_id == vocab.char_to_id
     # laid out for generation: float32, and every weight matrix but `emb` column-major
-    laid_out = laid_out_for_generation(mp)
+    laid_out = mp.laid_out()
     for name in mp.tensors:
         assert mp2.tensors[name].dtype == np.float32, name
         np.testing.assert_array_equal(mp2.tensors[name], laid_out.tensors[name])
@@ -316,8 +343,8 @@ def test_checkpoint_roundtrip(tmp_path, setup):
     save_checkpoint(str(tmp_path / "again.ckpt"), mp2, None, vocab2, step2, seed2)
     assert (tmp_path / "again.ckpt").read_bytes() == blob
     # the reloaded model computes the losses of the model laid out for generation
-    l1, _ = batch_loss([examples[0]], laid_out)
-    l2, _ = batch_loss([examples[0]], mp2)
+    l1, _, _ = batch_loss([examples[0]], laid_out)
+    l2, _, _ = batch_loss([examples[0]], mp2)
     np.testing.assert_array_equal(l1, l2)
 
 
