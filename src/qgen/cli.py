@@ -25,13 +25,13 @@ import numpy as np
 
 from . import __version__
 from .corpus import (CorpusError, Genre, build_training_sequence, build_vocab,
-                     filter_poems, parse_corpus)
+                     content_lines, filter_poems, parse_corpus, read_lines)
 from .embeddings import EmbeddingMatrix, train_skipgram
 from .evaluation import bleu
 from .generation import GenerationError, GenRequest, ProsodyRules, beam_search_generate
 from .model import ModelConfig, ModelParams
 from .prosody import (ProsodyError, compliance_report, load_templates,
-                      load_tone_dict, read_lines, templates_for)
+                      load_tone_dict, templates_for)
 from .training import (CheckpointError, GenreMode, TrainConfig,
                        load_checkpoint, save_checkpoint, train, training_bytes)
 
@@ -188,13 +188,8 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _content_lines(path):
-    """The stripped lines of a text file, blank lines and `#` comments left out."""
-    return [l for l in map(str.strip, read_lines(path)) if l and not l.startswith("#")]
-
-
 def _read_poem_lines(path):
-    raw = _content_lines(path)
+    raw = [line.strip() for _, line in content_lines(path, ValueError)]
     if len(raw) == 1 and "|" in raw[0]:
         return [seg.strip() for seg in raw[0].split("|")]
     return raw
@@ -212,7 +207,8 @@ def cmd_validate(args):
 
 def _read_char_seqs(path):
     """One character sequence per non-comment line; | and spaces are ignored."""
-    return [[c for c in line if c != "|" and not c.isspace()] for line in _content_lines(path)]
+    return [[c for c in line if c != "|" and not c.isspace()]
+            for _, line in content_lines(path, ValueError)]
 
 
 def cmd_bleu(args):
@@ -335,8 +331,7 @@ def _apply_env_config(ap, sub):
     path = os.environ.get("QGEN_CONFIG")
     if not path:
         return
-    with open(path, encoding="utf-8-sig") as f:
-        cfg = json.load(f)
+    cfg = json.loads("\n".join(read_lines(path, ValueError)))
     if not isinstance(cfg, dict):
         raise ValueError("QGEN_CONFIG %s must hold a JSON object" % path)
     parsers = [ap] + list(sub.choices.values())

@@ -1,11 +1,12 @@
 """Corpus ingestion: poem parsing, character vocabulary, training sequences.
 
-Corpus file format: UTF-8 text, one poem per line, lines separated by `|`,
-lines starting with `#` are comments; a leading byte-order mark is dropped.
-A quatrain has exactly 4 lines of 5 characters (FiveChar) or 7 characters
-(SevenChar), none of them whitespace; genre is inferred.
+Corpus file format: one poem per line, lines separated by `|`, lines
+starting with `#` are comments. A quatrain has exactly 4 lines of 5
+characters (FiveChar) or 7 characters (SevenChar), none of them whitespace;
+genre is inferred. `read_lines` reads every text input of the package.
 """
 
+import codecs
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,6 +44,35 @@ class CorpusError(Exception):
     pass
 
 
+def read_lines(path, error):
+    """The lines of a UTF-8 file or packaged Traversable (also inside a zip), a
+    leading byte-order mark dropped, split at LF, CRLF or a lone CR as text mode
+    splits them (never at U+2028 or a form feed). Raises `error` naming the path
+    of a file that cannot be read, and the path and line of a byte not UTF-8."""
+    try:
+        if hasattr(path, "read_bytes"):
+            data = path.read_bytes()
+        else:
+            with open(path, "rb") as f:
+                data = f.read()
+    except OSError as e:
+        raise error("cannot read %s: %s" % (path, e)) from e
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len(data[:e.start + 1].splitlines())     # bytes split at LF, CRLF and CR only
+        raise error("%s line %d: %s" % (path, line, e)) from e
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def content_lines(path, error):
+    """(line number, line) of each line of `read_lines(path, error)`, blank
+    lines and comments (first non-blank character `#`) left out."""
+    return [(n, line) for n, line in enumerate(read_lines(path, error), start=1)
+            if line.strip()[:1] not in ("", "#")]
+
+
 def quatrain_genre(lines):
     """The genre of a quatrain: 4 lines, all of 5 or all of 7 characters,
     none of them whitespace.
@@ -68,19 +98,11 @@ def parse_corpus(path, genre_filter=None):
     """Parse a corpus file. Malformed records are skipped and counted.
 
     Returns a ParseReport; poems keep 1-based record numbers as source ids.
-    Records end at line feeds only: unlike `str.splitlines`, a U+2028 or a
-    form feed inside a record does not start another.
+    Records are the lines of `read_lines`: unlike `str.splitlines`, a U+2028
+    or a form feed inside a record does not start another.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as f:
-            raw = f.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise CorpusError("cannot read corpus %s: %s" % (path, e)) from e
     report = ParseReport(poems=[])
-    for lineno, record in enumerate(raw.split("\n"), start=1):
-        record = record.strip()
-        if not record or record.startswith("#"):
-            continue
+    for lineno, record in content_lines(path, CorpusError):
         lines = [seg.strip() for seg in record.split("|")]
         genre, reason = quatrain_genre(lines)
         if genre is None:

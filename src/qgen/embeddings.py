@@ -8,12 +8,11 @@ one small matrix product. Single threaded and bit-reproducible under a fixed
 seed.
 """
 
-import codecs
 import math
 
 import numpy as np
 
-from .corpus import N_RESERVED
+from .corpus import N_RESERVED, read_lines
 
 SGD_LR = 0.025
 
@@ -59,18 +58,19 @@ class EmbeddingMatrix:
         """Read a `save_text` file; a malformed one raises ValueError naming
         the path and line. A non-finite value, a character given a second
         row, a row past the declared count or a byte that is not UTF-8 is
-        malformed. A leading byte-order mark is dropped."""
+        malformed. The file is read by `corpus.read_lines`."""
         line_of, rows, lineno = {}, [], 1
+        lines = read_lines(path, ValueError)
+        while len(lines) > 1 and not lines[-1]:     # trailing line ends
+            lines.pop()
         try:
-            with open(path, "rb") as f:     # lines decode one by one, so a bad byte names its own
-                lines = f.read().removeprefix(codecs.BOM_UTF8).rstrip(b"\n").split(b"\n")
-            n, d = (int(x) for x in lines[0].decode("utf-8").split())
+            n, d = (int(x) for x in lines[0].split())
             if n < 1 or d < 1:
                 raise ValueError("row count and dimension must be positive")
             for lineno, line in enumerate(lines[1:], start=2):
                 if lineno > n + 1:
                     raise ValueError("row past the declared count of %d" % n)
-                char, *vec = line.decode("utf-8").split(" ")
+                char, *vec = line.split(" ")
                 if len(vec) != d:
                     raise ValueError("%d values, expected %d" % (len(vec), d))
                 row = [float(x) for x in vec]

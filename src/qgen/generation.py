@@ -130,13 +130,11 @@ def candidate_pool(masked, logp, k):
     ascending id, as (rows, ids, scores = logp[row] + log p) in row order and
     by rank within a row: the order the tie draws follow."""
     V = masked.shape[1]
-    if k == 1:                          # the first maximum is the lowest id
-        flat = masked.argmax(axis=1) + V * np.arange(len(masked))
-    else:                               # cut at each row's k-th largest, and above zero
-        cut = np.maximum(np.partition(masked, -min(k, V), axis=1)[:, -min(k, V), None], 5e-324)
-        flat = (masked >= cut).ravel().nonzero()[0]     # row * V + id, ascending
-        flat = flat[np.lexsort((flat, -masked.ravel()[flat], flat // V))]
-        flat = flat[np.arange(len(flat)) - np.searchsorted(flat // V, flat // V) < k]
+    # cut at each row's k-th largest, and above zero
+    cut = np.maximum(np.partition(masked, -min(k, V), axis=1)[:, -min(k, V), None], 5e-324)
+    flat = (masked >= cut).ravel().nonzero()[0]         # row * V + id, ascending
+    flat = flat[np.lexsort((flat, -masked.ravel()[flat], flat // V))]
+    flat = flat[np.arange(len(flat)) - np.searchsorted(flat // V, flat // V) < k]
     flat = flat[masked.ravel()[flat] > 0.0]     # a row that is no distribution (NaN) offers none
     rows = flat // V
     return rows, flat - rows * V, logp[rows] + np.log(masked.ravel()[flat])

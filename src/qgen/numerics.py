@@ -492,8 +492,10 @@ def adadelta_step(params, grads, state):
     Blocks of leading-axis slices, about ADADELTA_BLOCK elements each, go
     through three scratch buffers allocated once per call, by the same ufuncs
     in the same order: whole-tensor bits when E[.] is no narrower than `grads`.
+    A gradient whose sum of squares overflows its dtype forms its squares in
+    the accumulators' dtype, so E[g^2] stays finite.
     """
-    sumsq = 0.0
+    sumsq, wide = 0.0, set()
     for name, g in grads.items():
         if name not in params:
             raise KeyError("gradient for unknown parameter %r" % name)
@@ -506,13 +508,15 @@ def adadelta_step(params, grads, state):
                 raise FloatingPointError("non-finite gradient for %r; step aborted" % name)
             g64 = g.astype(np.float64)
             sq = float(np.vdot(g64, g64))
+            wide.add(name)
         sumsq += sq
     rho, eps = state.rho, state.epsilon
     size = max([ADADELTA_BLOCK] + [g[0].size for g in grads.values() if g.ndim and len(g)])
     raw = [np.empty(8 * size, np.uint8) for _ in range(3)]     # viewed in each tensor's dtypes
     for name, g in grads.items():
         p, g, eg2, edx2 = np.atleast_1d(params[name], g, state.eg2[name], state.edx2[name])
-        dtypes = (g.dtype,) + (np.result_type(eg2, edx2, g),) * 2   # (1-rho) g^2, then dx
+        acc = np.result_type(eg2, edx2, g)
+        dtypes = (acc if name in wide else g.dtype, acc, acc)       # (1-rho) g^2, then dx
         n = max(1, ADADELTA_BLOCK * len(g) // max(1, g.size))     # leading-axis slices
         for i in range(0, len(g), n):
             gb, e2, d2 = g[i:i + n], eg2[i:i + n], edx2[i:i + n]

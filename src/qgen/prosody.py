@@ -5,6 +5,7 @@ file: blocks of four lines over the alphabet P/Z/*, one block per template,
 preceded by a `# id` line; blank lines separate blocks. Characters missing
 from the dictionary have Unknown tone and satisfy any slot -- generation must
 not be blocked by dictionary gaps, and the compliance report lists them.
+Both files are read by `corpus.read_lines`.
 """
 
 import logging
@@ -13,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import Genre, quatrain_genre
+from .corpus import Genre, content_lines, quatrain_genre, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -56,24 +57,9 @@ class ToneDict:
         return len(self.tones)
 
 
-def read_lines(path):
-    """The lines of a UTF-8 text file, or of a packaged Traversable that may lie
-    inside a zip, a leading byte-order mark dropped; ProsodyError names the
-    path otherwise."""
-    try:
-        if hasattr(path, "read_text"):
-            return path.read_text(encoding="utf-8-sig").split("\n")
-        with open(path, encoding="utf-8-sig") as f:
-            return f.read().split("\n")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ProsodyError("cannot read %s: %s" % (path, e)) from e
-
-
 def load_tone_dict(path):
     td = ToneDict()
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip() or line.strip().startswith("#"):
-            continue
+    for lineno, line in content_lines(path, ProsodyError):
         parts = line.split("\t")
         if (len(parts) != 3 or len(parts[0]) != 1 or parts[0].isspace()
                 or parts[1] not in ("P", "Z")):
@@ -98,31 +84,20 @@ class TonalTemplate:
 
 
 def load_templates(path):
-    templates = []
-    block_id = None
-    block = []
-
-    def flush():
-        nonlocal block_id, block
-        if not block:
-            return
-        genre, reason = quatrain_genre(block)
-        if genre is None:
-            raise ProsodyError("template %r: %s" % (block_id, reason))
-        templates.append(TonalTemplate(block_id or "t%d" % len(templates), genre, list(block)))
-        block_id, block = None, []
-
-    for raw in read_lines(path):
-        line = raw.strip()
-        if not line:
-            flush()
-        elif line.startswith("#"):
+    templates, block_id, block = [], None, []
+    for line in map(str.strip, read_lines(path, ProsodyError) + [""]):   # "" ends the last block
+        if line.startswith("#"):
             block_id = line.lstrip("#").strip()
-        else:
+        elif line:
             if set(line) - set("PZ*"):
                 raise ProsodyError("bad template symbols in %r" % line)
             block.append(line)
-    flush()
+        elif block:
+            genre, reason = quatrain_genre(block)
+            if genre is None:
+                raise ProsodyError("template %r: %s" % (block_id, reason))
+            templates.append(TonalTemplate(block_id or "t%d" % len(templates), genre, block))
+            block_id, block = None, []
     return templates
 
 

@@ -392,6 +392,35 @@ def test_non_utf8_text_file_is_one_line_failure(workdir, capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "bad.txt"],
+    ["train", "--corpus", "refs.txt", "--pretrained-embeddings", "bad.txt",
+     "--epochs", "1", "--d", "8", "--H", "8", "--H-dec", "8"],
+    ["generate", "--checkpoint", "CKPT", "--keywords", "月黑", "--genre", "5",
+     "--tone-dict", "bad.txt"],
+    ["generate", "--checkpoint", "CKPT", "--keywords", "月黑", "--genre", "5",
+     "--templates", "bad.txt"],
+    ["validate", "--poem", "bad.txt"],
+    ["bleu", "--hyp", "bad.txt", "--refs", "refs.txt"],
+    ["bleu", "--hyp", "refs.txt", "--refs", "bad.txt"],
+    ["QGEN_CONFIG", "validate", "--poem", "refs.txt"],
+], ids=" ".join)
+def test_a_bad_byte_is_named_by_its_line(workdir, trained, capsys, monkeypatch, argv):
+    """Every text input, the QGEN_CONFIG file too, is read by one reader: a
+    byte that is not UTF-8 fails with one line naming the file and the line,
+    counted across CRLF and lone CR line ends."""
+    (workdir / "bad.txt").write_bytes(b"# one\r\n# two\r\xff three\n")
+    (workdir / "refs.txt").write_text(FIVE + "\n", encoding="utf-8")
+    want = EXIT_FAILURE
+    if argv[0] == "QGEN_CONFIG":
+        monkeypatch.setenv("QGEN_CONFIG", "bad.txt")
+        argv, want = argv[1:], EXIT_USAGE
+    assert main([trained if a == "CKPT" else a for a in argv]) == want
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("qgen: ")
+    assert "bad.txt line 3: 'utf-8' codec can't decode byte 0xff" in err[0]
+
+
 def test_bleu_fixture(workdir, capsys):
     (workdir / "h.txt").write_text("AABB\n", encoding="utf-8")
     (workdir / "r.txt").write_text("ABBC\n", encoding="utf-8")

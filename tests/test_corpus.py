@@ -56,14 +56,17 @@ def test_parse_rejects_malformed_records(tmp_path):
 
 def test_parse_ignores_byte_order_mark(tmp_path):
     """A leading BOM, as Windows editors write one, hides neither a first
-    comment nor a first poem."""
-    bom = tmp_path / "bom.txt"
+    comment nor a first poem; CRLF line ends, as they also write, read as LF."""
+    copy = tmp_path / "copy.txt"
     for text in [Path(data_path("overfit_corpus.txt")).read_text(encoding="utf-8"),
                  "%s\n%s\n" % (FIVE, SEVEN)]:
-        bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
-        report = parse_corpus(str(bom))
-        assert report == parse_corpus(write_corpus(tmp_path, text))
-        assert report.rejected == 0 and report.poems
+        want = parse_corpus(write_corpus(tmp_path, text))
+        for data in [codecs.BOM_UTF8 + text.encode("utf-8"),
+                     text.replace("\n", "\r\n").encode("utf-8")]:
+            copy.write_bytes(data)
+            report = parse_corpus(str(copy))
+            assert report == want
+            assert report.rejected == 0 and report.poems
 
 
 def test_parse_genre_filter(tmp_path):

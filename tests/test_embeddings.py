@@ -161,12 +161,14 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_load_text_ignores_byte_order_mark(tmp_path):
     emb = train_skipgram(list("白日依山尽黄河入海流" * 3), window=2, d=3, negatives=2, seed=0)
-    plain, bom = tmp_path / "emb.txt", tmp_path / "bom.txt"
+    plain, bom, crlf = tmp_path / "emb.txt", tmp_path / "bom.txt", tmp_path / "crlf.txt"
     emb.save_text(str(plain))
     bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
-    loaded = EmbeddingMatrix.load_text(str(bom))
-    assert loaded.chars == emb.chars
-    np.testing.assert_array_equal(loaded.matrix, emb.matrix)
+    crlf.write_bytes(plain.read_bytes().replace(b"\n", b"\r\n"))
+    for copy in (bom, crlf):
+        loaded = EmbeddingMatrix.load_text(str(copy))
+        assert loaded.chars == emb.chars
+        np.testing.assert_array_equal(loaded.matrix, emb.matrix)
     # a bad byte still names its own line
     bom.write_bytes(codecs.BOM_UTF8 + b"2 2\na 0.5 0.25\n\xff 0.25 0.5\n")
     with pytest.raises(ValueError, match="bom.txt line 3: 'utf-8' codec can't decode"):

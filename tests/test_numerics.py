@@ -510,17 +510,22 @@ def test_adadelta_rejects_nonfinite_grads_before_mutation():
 
 def test_adadelta_step_returns_the_global_gradient_norm():
     """The L2 norm of all gradients as one vector, also where a float32 sum
-    of squares overflows, and in either memory order."""
+    of squares overflows, and in either memory order. A gradient whose own
+    float32 square overflows (3e20) still leaves E[g^2] finite and moves its
+    weights."""
     rng = np.random.default_rng(0)
     params = {"x": np.zeros((3, 2)), "y": np.zeros(8), "z": np.zeros((2, 3))}
-    for big in (0.0, 1e19):             # 8 squares of 1e38 sum beyond float32's range
+    for big in (0.0, 1e19, 3e20):       # 8 squares of 1e38 sum beyond float32's range
         grads = {"x": rng.standard_normal((3, 2)).astype(np.float32),
                  "y": np.full(8, big, dtype=np.float32),
                  "z": np.asfortranarray(rng.standard_normal((2, 3)))}
         want = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
-        got = nm.adadelta_step(params, grads, nm.AdaDeltaState(params))
+        state, before = nm.AdaDeltaState(params), params["y"].copy()
+        got = nm.adadelta_step(params, grads, state)
         assert type(got) is float and np.isfinite(got)
         assert got == pytest.approx(want, rel=1e-6)
+        assert np.all(np.isfinite(state.eg2["y"]))
+        assert big == 0.0 or np.all(params["y"] != before)
 
 
 def test_adadelta_decays_unvisited_accumulators():

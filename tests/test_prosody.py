@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import data_path
-from qgen.corpus import Genre
+from qgen.corpus import Genre, read_lines
 from qgen.prosody import (ProsodyError, StructureError, Tone,
                           compliance_report, load_templates, load_tone_dict,
-                          match_tonal_template, read_lines, templates_for,
+                          match_tonal_template, templates_for,
                           validate_rhyme, validate_structure)
 
 POEM = ["月黑雁飞高", "单于夜遁逃", "欲将轻骑逐", "大雪满弓刀"]
@@ -63,17 +63,20 @@ def test_loaders_name_path_of_unreadable_file(tmp_path, loader):
 
 @pytest.mark.parametrize("name", ["tone_dict.tsv", "templates.txt"])
 def test_loaders_ignore_byte_order_mark(tmp_path, name):
-    """A BOM-prefixed copy of a packaged file reads as the file itself, through
-    a path and through a Traversable such as a packaged file is."""
-    bom = tmp_path / name
-    bom.write_bytes(codecs.BOM_UTF8 + Path(data_path(name)).read_bytes())
-    plain = read_lines(data_path(name))
-    assert read_lines(str(bom)) == read_lines(bom) == plain
-    if name == "tone_dict.tsv":
-        loaded, want = load_tone_dict(str(bom)), load_tone_dict(data_path(name))
-        assert (loaded.tones, loaded.groups) == (want.tones, want.groups)
-    else:
-        assert load_templates(str(bom)) == load_templates(data_path(name))
+    """A BOM-prefixed copy of a packaged file, and a copy with CRLF line ends,
+    read as the file itself, through a path and through a Traversable such as
+    a packaged file is."""
+    data = Path(data_path(name)).read_bytes()
+    plain = read_lines(data_path(name), ProsodyError)
+    for copy in [codecs.BOM_UTF8 + data, data.replace(b"\n", b"\r\n")]:
+        path = tmp_path / name
+        path.write_bytes(copy)
+        assert read_lines(str(path), ProsodyError) == read_lines(path, ProsodyError) == plain
+        if name == "tone_dict.tsv":
+            loaded, want = load_tone_dict(str(path)), load_tone_dict(data_path(name))
+            assert (loaded.tones, loaded.groups) == (want.tones, want.groups)
+        else:
+            assert load_templates(str(path)) == load_templates(data_path(name))
 
 
 def test_tone_dict_duplicate_last_wins(tmp_path, caplog):
