@@ -1,13 +1,10 @@
-"""Ablation harness: toggle each modelling technique and score BLEU.
+"""Ablation harness: add the paper's modelling techniques one at a time and score BLEU.
 
 Produces a table-shaped report over cumulative configurations (basic model,
-then adding character-vector pretraining, input reconstruction, input-vector
-attention, and hybrid-style training), each scored with keyword-referenced
+then adding each of `TECHNIQUES` in turn), each scored with keyword-referenced
 BLEU on a held-out split. The harness is meant for toy-sized runs; the
 numbers it emits on desk-scale corpora carry no claim beyond being finite.
 """
-
-from dataclasses import dataclass
 
 from .corpus import Genre, build_training_sequence, build_vocab
 from .embeddings import train_skipgram
@@ -16,38 +13,26 @@ from .generation import GenRequest, ProsodyRules, beam_search_generate
 from .model import ModelConfig, ModelParams
 from .training import GenreMode, TrainConfig, train
 
-
-@dataclass
-class AblationConfig:
-    pretrain: bool = False
-    reconstruction: bool = False
-    input_attention: bool = False
-    hybrid: bool = False
+# the table's order: row i turns on the first i of them
+TECHNIQUES = ("char vector init", "input reconstruction", "input vector attention",
+              "hybrid training")
 
 
-CUMULATIVE_ROWS = [
-    ("basic", AblationConfig()),
-    ("+char vector init", AblationConfig(pretrain=True)),
-    ("+input reconstruction", AblationConfig(pretrain=True, reconstruction=True)),
-    ("+input vector attention",
-     AblationConfig(pretrain=True, reconstruction=True, input_attention=True)),
-    ("+hybrid training",
-     AblationConfig(pretrain=True, reconstruction=True, input_attention=True, hybrid=True)),
-]
-
-
-def _train_model(train_poems, vocab, ab, genre_mode, d, H, H_dec, epochs, seed):
-    examples = [build_training_sequence(p, vocab, echo=ab.reconstruction)
-                for p in train_poems]
+def _train_model(poems, vocab, techniques, d, H, H_dec, epochs, seed):
+    """A model trained on `poems` with `techniques` (a prefix of TECHNIQUES) on,
+    in the genre mode of the genres the poems hold."""
+    examples = [build_training_sequence(p, vocab, echo="input reconstruction" in techniques)
+                for p in poems]
     cfg = ModelConfig(vocab_size=len(vocab), d=d, H=H, H_dec=H_dec,
-                      use_input_attention=ab.input_attention, seed=seed)
+                      use_input_attention="input vector attention" in techniques, seed=seed)
     mparams = ModelParams.initialize(cfg)
-    if ab.pretrain:
-        stream = [c for p in train_poems for c in p.chars()]
+    if "char vector init" in techniques:
+        stream = [c for p in poems for c in p.chars()]
         sg = train_skipgram(stream, window=2, d=d, negatives=2, epochs=1, seed=seed)
         sg.copy_into(mparams.tensors["emb"], vocab)
-    tc = TrainConfig(epochs=epochs, minibatch=8, seed=seed, genre_mode=genre_mode)
-    train(examples, mparams, tc)
+    genres = {p.genre for p in poems}
+    mode = GenreMode.HYBRID if len(genres) > 1 else GenreMode(str(genres.pop().value))
+    train(examples, mparams, TrainConfig(epochs=epochs, minibatch=8, seed=seed, genre_mode=mode))
     return mparams
 
 
@@ -67,30 +52,26 @@ def _score(mparams, vocab, held_out, index, seed=0):
 def run_ablation(train_poems, held_out_poems, d=16, H=16, H_dec=16, epochs=5, seed=0):
     """Run the cumulative ablation table on a train/held-out poem split.
 
-    Returns {"rows": [{"model", "bleu_5", "bleu_7"}, ...]}; entries are None
-    where a genre is absent or no keyword has references.
+    Row 0 is the basic model and row i adds the i-th of `TECHNIQUES`. Each row
+    trains one model per genre, or with hybrid training one model on both.
+    Returns {"rows": [{"model", "bleu_5", "bleu_7"}, ...]}; an entry is None
+    where its model lacks a genre's training poems, its genre has no held-out
+    poems, or none of its keywords has references.
     """
     vocab = build_vocab(train_poems)
     index = ReferenceIndex(train_poems)
-    by_genre = {g: [p for p in train_poems if p.genre == g]
-                for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR)}
-    held_by_genre = {g: [p for p in held_out_poems if p.genre == g]
-                     for g in (Genre.FIVE_CHAR, Genre.SEVEN_CHAR)}
     rows = []
-    for name, ab in CUMULATIVE_ROWS:
-        row = {"model": name, "bleu_5": None, "bleu_7": None}
-        if ab.hybrid:
-            mp = _train_model(train_poems, vocab, ab, GenreMode.HYBRID,
-                              d, H, H_dec, epochs, seed)
-            for g, key in ((Genre.FIVE_CHAR, "bleu_5"), (Genre.SEVEN_CHAR, "bleu_7")):
-                if held_by_genre[g]:
-                    row[key] = _score(mp, vocab, held_by_genre[g], index, seed=seed)
-        else:
-            for g, mode, key in ((Genre.FIVE_CHAR, GenreMode.FIVE_ONLY, "bleu_5"),
-                                 (Genre.SEVEN_CHAR, GenreMode.SEVEN_ONLY, "bleu_7")):
-                if by_genre[g] and held_by_genre[g]:
-                    mp = _train_model(by_genre[g], vocab, ab, mode,
-                                      d, H, H_dec, epochs, seed)
-                    row[key] = _score(mp, vocab, held_by_genre[g], index, seed=seed)
+    for i in range(len(TECHNIQUES) + 1):
+        on = TECHNIQUES[:i]
+        row = {"model": "+" + on[-1] if on else "basic", "bleu_5": None, "bleu_7": None}
+        groups = [tuple(Genre)] if "hybrid training" in on else [(g,) for g in Genre]
+        for group in groups:
+            poems = [p for p in train_poems if p.genre in group]
+            held = {g: [p for p in held_out_poems if p.genre == g] for g in group}
+            if {p.genre for p in poems} == set(group) and any(held.values()):
+                mp = _train_model(poems, vocab, on, d, H, H_dec, epochs, seed)
+                for g in group:
+                    if held[g]:
+                        row["bleu_%d" % g.value] = _score(mp, vocab, held[g], index, seed=seed)
         rows.append(row)
     return {"rows": rows}

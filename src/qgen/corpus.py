@@ -48,7 +48,7 @@ def read_lines(path, error):
     """The lines of a UTF-8 file or packaged Traversable (also inside a zip), a
     leading byte-order mark dropped, split at LF, CRLF or a lone CR as text mode
     splits them (never at U+2028 or a form feed). Raises `error` naming the path
-    of a file that cannot be read, and the path and line of a byte not UTF-8."""
+    of a file that cannot be read, or the path, line and column of a non-UTF-8 byte."""
     try:
         if hasattr(path, "read_bytes"):
             data = path.read_bytes()
@@ -61,8 +61,11 @@ def read_lines(path, error):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = len(data[:e.start + 1].splitlines())     # bytes split at LF, CRLF and CR only
-        raise error("%s line %d: %s" % (path, line, e)) from e
+        head = data[:e.start + 1].splitlines()      # bytes split at LF, CRLF and CR only
+        column = len(head[-1][:-1].decode("utf-8")) + 1     # the line is UTF-8 up to its bad byte
+        bad = "byte 0x%02x" % data[e.start] if e.end - e.start == 1 else "bytes"
+        raise error("%s line %d: '%s' codec can't decode %s at column %d: %s"
+                    % (path, len(head), e.encoding, bad, column, e.reason)) from e
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 

@@ -119,15 +119,12 @@ class EpochReport:
 
 
 def _check_genre_mode(examples, mode):
-    genres = {e.genre for e in examples}
-    if mode == GenreMode.HYBRID:
-        if genres != {Genre.FIVE_CHAR, Genre.SEVEN_CHAR}:
-            raise ValueError("Hybrid mode needs both genres present, found %s"
-                             % sorted(g.name for g in genres))
-    elif mode == GenreMode.FIVE_ONLY and genres != {Genre.FIVE_CHAR}:
-        raise ValueError("FiveOnly mode but corpus has %s" % sorted(g.name for g in genres))
-    elif mode == GenreMode.SEVEN_ONLY and genres != {Genre.SEVEN_CHAR}:
-        raise ValueError("SevenOnly mode but corpus has %s" % sorted(g.name for g in genres))
+    found = {e.genre for e in examples}
+    wanted = set(Genre) if mode == GenreMode.HYBRID else {Genre(int(mode.value))}
+    if found != wanted:
+        raise ValueError("%s mode needs the genres %s, found %s"
+                         % (mode.name.title().replace("_", ""), sorted(g.name for g in wanted),
+                            sorted(g.name for g in found)))
 
 
 def _genre_pure_batches(examples, order, minibatch):

@@ -81,11 +81,20 @@ def test_parse_missing_file():
         parse_corpus("/nonexistent/corpus.txt")
 
 
-def test_parse_non_utf8_names_path(tmp_path):
+@pytest.mark.parametrize("data, named", [
+    (FIVE.encode("gbk"), []),
+    ("月黑雁飞高\n白日".encode("utf-8") + b"\xff" + "山尽".encode("utf-8"),
+     ["line 2", "column 3"]),
+], ids=["gbk", "bad byte in line 2"])
+def test_parse_non_utf8_names_path(tmp_path, data, named):
+    """The error names the file and, for a byte after valid text, its line
+    and its character column in that line."""
     path = tmp_path / "corpus.txt"
-    path.write_bytes(FIVE.encode("gbk"))
-    with pytest.raises(CorpusError, match="corpus.txt"):
+    path.write_bytes(data)
+    with pytest.raises(CorpusError, match="corpus.txt") as info:
         parse_corpus(str(path))
+    for part in named:
+        assert part in str(info.value)
 
 
 def test_reserved_ids_are_fixed():
