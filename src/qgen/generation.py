@@ -156,6 +156,7 @@ def keep_best(rows, ids, scores, width, rng):
     return rows[kept], ids[kept], scores[kept]
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflow ends in the GenerationError below
 def beam_search_generate(req, mparams, vocab, rules):
     """Generate one quatrain. Returns (Poem, log_records).
 
@@ -214,8 +215,10 @@ def beam_search_generate(req, mparams, vocab, rules):
             records[-1]["relaxations"] = [r for _, r in relaxed]
             for b, r in relaxed:
                 relax[b] = relax[b] + [r]
-        if not len(rows):
-            raise GenerationError("beam exhausted at step %d" % step)
+        if not len(rows):               # only a character position's pool can be empty
+            raise GenerationError("the model's numbers overflowed float32 at step %d" % step
+                                  if not np.isfinite(dist.value).all()
+                                  else "beam exhausted at step %d" % step)
         rows, ids, logp = picked or keep_best(rows, ids, scores, req.beam_width, rng)
         texts, tmpls, groups = texts[rows] + chars[ids], tmpls[rows], groups[rows]
         relax, state, prev = relax[rows], s_new.value[rows], ids

@@ -489,13 +489,12 @@ def adadelta_step(params, grads, state):
     dx      = -sqrt(E[dx^2]+eps)/sqrt(E[g^2]+eps) * g
     E[dx^2] <- rho E[dx^2] + (1-rho) dx^2
 
-    Blocks of leading-axis slices, about ADADELTA_BLOCK elements each, go
-    through three scratch buffers allocated once per call, by the same ufuncs
-    in the same order: whole-tensor bits when E[.] is no narrower than `grads`.
-    A gradient whose sum of squares overflows its dtype forms its squares in
-    the accumulators' dtype, so E[g^2] stays finite.
+    Blocks of leading-axis slices, about ADADELTA_BLOCK elements each, run
+    the whole-tensor operations in the same order: whole-tensor bits. A
+    gradient whose sum of squares overflows its dtype updates from its
+    float64 copy, so E[g^2] stays finite.
     """
-    sumsq, wide = 0.0, set()
+    sumsq, wide = 0.0, {}
     for name, g in grads.items():
         if name not in params:
             raise KeyError("gradient for unknown parameter %r" % name)
@@ -506,29 +505,23 @@ def adadelta_step(params, grads, state):
         if not np.isfinite(sq):
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError("non-finite gradient for %r; step aborted" % name)
-            g64 = g.astype(np.float64)
-            sq = float(np.vdot(g64, g64))
-            wide.add(name)
+            wide[name] = g.astype(np.float64)
+            sq = float(np.vdot(wide[name], wide[name]))
         sumsq += sq
     rho, eps = state.rho, state.epsilon
-    size = max([ADADELTA_BLOCK] + [g[0].size for g in grads.values() if g.ndim and len(g)])
-    raw = [np.empty(8 * size, np.uint8) for _ in range(3)]     # viewed in each tensor's dtypes
     for name, g in grads.items():
-        p, g, eg2, edx2 = np.atleast_1d(params[name], g, state.eg2[name], state.edx2[name])
-        acc = np.result_type(eg2, edx2, g)
-        dtypes = (acc if name in wide else g.dtype, acc, acc)       # (1-rho) g^2, then dx
+        p, g, eg2, edx2 = np.atleast_1d(params[name], wide.get(name, g),
+                                        state.eg2[name], state.edx2[name])
         n = max(1, ADADELTA_BLOCK * len(g) // max(1, g.size))     # leading-axis slices
         for i in range(0, len(g), n):
             gb, e2, d2 = g[i:i + n], eg2[i:i + n], edx2[i:i + n]
-            sq, a, b = (r[:gb.size * t.itemsize].view(t).reshape(gb.shape)
-                        for r, t in zip(raw, dtypes))
             e2 *= rho
-            e2 += np.multiply(np.multiply(1.0 - rho, gb, out=sq), gb, out=sq)
-            dx = np.negative(np.sqrt(np.add(d2, eps, out=a), out=a), out=a)
-            dx /= np.sqrt(np.add(e2, eps, out=b), out=b)
+            e2 += (1.0 - rho) * gb * gb
+            dx = -np.sqrt(d2 + eps)
+            dx /= np.sqrt(e2 + eps)
             dx *= gb
             d2 *= rho
-            d2 += np.multiply(np.multiply(1.0 - rho, dx, out=b), dx, out=b)
+            d2 += (1.0 - rho) * dx * dx
             p[i:i + n] += dx
     # parameters with no gradient this step still decay their E[g^2]
     for name in params:

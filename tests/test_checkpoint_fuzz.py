@@ -3,6 +3,8 @@
 A byte-flipped or truncated checkpoint, or one whose header holds an
 arbitrary JSON value in any field, hyper key or vocabulary entry, either
 raises CheckpointError or loads a vocabulary of str characters and int ids.
+A checkpoint of finite weights too large for float32 products ends
+`qgen generate` in one error line.
 """
 
 from dataclasses import asdict
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import edit_checkpoint_header  # noqa: E402
 from qgen import numerics as nm  # noqa: E402
+from qgen.cli import EXIT_FAILURE, main  # noqa: E402
 from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab  # noqa: E402
 from qgen.model import ModelConfig, ModelParams  # noqa: E402
 from qgen.training import (HEADER_FIELDS, CheckpointError, load_checkpoint,  # noqa: E402
@@ -81,3 +84,24 @@ def test_damaged_checkpoint_fails_typed_or_loads_typed_vocab(saved, change):
         return
     assert all(type(c) is str and type(i) is int for c, i in vocab.char_to_id.items())
     assert all(vocab.char(i) == c for c, i in vocab.char_to_id.items())
+
+
+@pytest.mark.parametrize("scale", [1e30, 1e34, 1e38])
+@pytest.mark.parametrize("rules", [[], ["--no-tone", "--no-rhyme"]])
+def test_extreme_finite_weights_end_in_one_error_line(saved, tmp_path, monkeypatch, capsys,
+                                                      scale, rules):
+    """Every tensor scaled by `scale` stays finite float32 and loads, but the
+    products overflow: a beam-1 search, masked or taking its argmax, names
+    the overflow in one line, and no numpy warning escapes (the suite makes
+    RuntimeWarning an error)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.ckpt").write_bytes(saved[0])
+    mp, _, vocab, step, seed = load_checkpoint("model.ckpt")
+    for t in mp.tensors.values():
+        t *= scale
+    save_checkpoint("scaled.ckpt", mp, None, vocab, step, seed)
+    code = main(["generate", "--checkpoint", "scaled.ckpt", "--keywords", "白日",
+                 "--genre", "5", "--beam", "1", *rules])
+    out, err = capsys.readouterr()
+    assert code == EXIT_FAILURE and out == ""
+    assert err.splitlines() == ["qgen: the model's numbers overflowed float32 at step 0"]

@@ -561,12 +561,13 @@ def test_blocked_adadelta_equals_whole_tensor_update(grad_dtype):
     """Five steps leave parameters and both accumulators bit for bit as the
     whole-tensor update does: tensors smaller than a block, exactly one block,
     not a multiple of a block, rows longer than a block, a column-major
-    matrix, a scalar, and a parameter with no gradient."""
+    matrix, a scalar, a parameter with no gradient, and a gradient whose
+    float32 sum of squares overflows, which updates as its float64 copy."""
     B = nm.ADADELTA_BLOCK
     shapes = {"small": (7, 3), "one_block": (B,), "one_block_rows": (B // 64, 64),
               "ragged": (2 * B // 64 + 5, 64), "ragged_vector": (B + 11,),
               "long_rows": (3, B + 7), "column_major": (300, 70), "scalar": (),
-              "no_grad": (4, 4)}
+              "wide": (2, 4), "no_grad": (4, 4)}
     rng = np.random.default_rng(7)
     params = {k: np.asarray(rng.uniform(-0.1, 0.1, s)) for k, s in shapes.items()}
     params["column_major"] = np.asfortranarray(params["column_major"])
@@ -579,8 +580,12 @@ def test_blocked_adadelta_equals_whole_tensor_update(grad_dtype):
     for _ in range(5):
         grads = {k: np.asarray(rng.standard_normal(s)).astype(grad_dtype)
                  for k, s in shapes.items() if k != "no_grad"}
+        grads["wide"] = (rng.choice([-1.0, 1.0], shapes["wide"])
+                         * rng.uniform(1e19, 3e20, shapes["wide"])).astype(grad_dtype)
+        wide64 = grads["wide"].astype(np.float64)
+        assert np.sum(wide64 * wide64) > np.finfo(np.float32).max
         nm.adadelta_step(params, grads, state)
-        whole_tensor_adadelta(want, grads, want_state)
+        whole_tensor_adadelta(want, {**grads, "wide": wide64}, want_state)
     for k in shapes:
         for got, ref in ((params, want), (state.eg2, want_state.eg2),
                          (state.edx2, want_state.edx2)):
