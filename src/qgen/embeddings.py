@@ -56,9 +56,9 @@ class EmbeddingMatrix:
     @classmethod
     def load_text(cls, path):
         """Read a `save_text` file; a malformed one raises ValueError naming
-        the path and line. A non-finite value, a character given a second
-        row, a row past the declared count or a byte that is not UTF-8 is
-        malformed. The file is read by `corpus.read_lines`."""
+        the path and line: a key not one non-whitespace character, a
+        non-finite value, a character's second row, a row past the declared
+        count or a byte not UTF-8. The file is read by `corpus.read_lines`."""
         line_of, rows, lineno = {}, [], 1
         lines = read_lines(path, ValueError)
         while len(lines) > 1 and not lines[-1]:     # trailing line ends
@@ -71,6 +71,8 @@ class EmbeddingMatrix:
                 if lineno > n + 1:
                     raise ValueError("row past the declared count of %d" % n)
                 char, *vec = line.split(" ")
+                if len(char) != 1 or char.isspace():
+                    raise ValueError("key %r is not one non-whitespace character" % char)
                 if len(vec) != d:
                     raise ValueError("%d values, expected %d" % (len(vec), d))
                 row = [float(x) for x in vec]

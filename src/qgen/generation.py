@@ -1,15 +1,15 @@
 """Keyword-conditioned quatrain generation via prosody-constrained beam search.
 
 The decoder runs over a fixed position plan: genre-many characters per line,
-a SEP token between lines, stop after line 4. Structure is therefore a hard
-guarantee. Tone and rhyme are enforced by masking the output distribution;
-when the masks would remove all probability mass the rules in force at that
-position are relaxed in the order rhyme -> tone, and every relaxation of a rule
-in force is logged. The beam is its rows: hypothesis b is row b of each array
-the search keeps, re-indexed by each position's survivors. One decoder call,
-one mask and one top-k per character position serve all rows, and a SEP
-position, whose token is forced, skips the projection onto the vocabulary. A
-lone row with no rule in force takes its argmax. Searches decode `laid_out`.
+a SEP token between lines, stop after line 4, so structure is a hard
+guarantee. Tone and rhyme mask the output distribution: the search decides
+the rules in force once per character position, and a row whose mass they
+would all remove drops them in the order rhyme -> tone, each drop logged.
+The beam is its rows: hypothesis b is row b of each array the search keeps,
+re-indexed by each position's survivors. One decoder call, one mask and one
+top-k per character position serve all rows; a SEP position, whose token is
+forced, skips the projection onto the vocabulary, and a lone row with no rule
+in force takes its argmax. Searches decode `laid_out`.
 """
 
 import logging
@@ -87,28 +87,17 @@ def position_plan(genre):
     return plan
 
 
-def constraint_mask(line, pos, dist, table, templates, rhyme_groups,
-                    tone_on, rhyme_on, genre):
-    """Mask and renormalize the (R, V) rows of one character position, row b
-    under templates[b] and bound rhyme group rhyme_groups[b].
+def constraint_mask(line, pos, dist, in_force):
+    """Mask and renormalize the (R, V) rows of one character position under
+    `in_force`, the (rule, bool (V,) or (R, V) mask) pairs the search decided
+    once for the position, in the order a row drops them.
 
-    Structure masking (no reserved token) is unconditional. The rules in force
-    are decided once for all rows: rhyme at the final characters of lines 2
-    and 4 (group bound by line 2, matched by line 4), then tone by each row's
-    template slot, both read from the vocabulary's VocabTable `table`. A row
-    whose mass is all removed drops them in that order, then falls back to
-    uniform ("model"). Returns the masked rows and the relaxations as
-    (row, record) pairs. SEP positions never come here.
-    """
+    Structure masking (no reserved token) is unconditional. A row whose mass
+    is all removed drops the rules in order, then falls back to uniform
+    ("model"). Returns the masked rows and the relaxations as (row, record)
+    pairs. SEP positions never come here."""
     p = np.array(dist, dtype=np.float64)    # a float64 copy, so scores sum in float64
     p[:, :N_RESERVED] = 0.0
-    in_force = []                       # (rule, bool mask), in the order they are dropped
-    if rhyme_on and pos == genre.value - 1 and line in (1, 3):
-        in_force.append(("rhyme", table.known if line == 1 else
-                         np.array([table.rhymes.get(g, table.rhymes[None])
-                                   for g in rhyme_groups])))
-    if tone_on and templates[0] is not None:    # every row holds a template, or none does
-        in_force.append(("tone", np.array([table.slots[t.slot(line, pos)] for t in templates])))
     masked = p * reduce(np.logical_and, [m for _, m in in_force]) if in_force else p
     sums = masked.sum(axis=1)
     relaxations = []
@@ -201,12 +190,17 @@ def beam_search_generate(req, mparams, vocab, rules):
             rows, ids, scores = np.arange(len(logp)), np.full(len(logp), SEP), logp
         else:
             s_new, dist, info = decode_step(constant(state), prev, enc, nodes, cfg)
-            if len(logp) == req.beam_width == 1 and not req.tone and not (
-                    req.rhyme and pos == L - 1 and line in (1, 3)):    # no rule in force
+            in_force = []               # (rule, bool mask), in the order a row drops them
+            if req.rhyme and pos == L - 1 and line in (1, 3):   # line 2 binds, line 4 matches
+                in_force.append(("rhyme", table.known if line == 1 else
+                                 np.array([table.rhymes[g] for g in groups])))
+            if req.tone:                # every row holds a template
+                in_force.append(("tone", np.array([table.slots[t.slot(line, pos)]
+                                                   for t in tmpls])))
+            if len(logp) == req.beam_width == 1 and not in_force:
                 picked = first_maximum(dist.value, logp)
             if not picked:
-                masked, relaxed = constraint_mask(line, pos, dist.value, table, tmpls, groups,
-                                                  req.tone, req.rhyme, req.genre)
+                masked, relaxed = constraint_mask(line, pos, dist.value, in_force)
             rows, ids, scores = picked or candidate_pool(masked, logp, req.beam_width)
         records.append({"step": step, "kind": kind, "line": line, "pos": pos, "candidates": [
             {"prefix": text, "alpha_h": info["alpha_h"][b], "alpha_x": None

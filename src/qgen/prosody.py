@@ -1,11 +1,12 @@
 """Quatrain regulations: structure, Ping/Ze tonal templates, rhyme groups.
 
-Tone dictionary TSV: `char <TAB> P|Z <TAB> rhyme_group` per row. Template
-file: blocks of four lines over the alphabet P/Z/*, one block per template,
-preceded by a `# id` line; blank lines separate blocks. Characters missing
-from the dictionary have Unknown tone and satisfy any slot -- generation must
-not be blocked by dictionary gaps, and the compliance report lists them.
-Both files are read by `corpus.read_lines`.
+Tone dictionary TSV: `char <TAB> P|Z <TAB> rhyme_group` per row, the group
+non-empty and free of whitespace. Template file: blocks of four lines over
+P/Z/*, one block per template, preceded by a `# id` line; blank lines
+separate blocks. Characters missing from the dictionary have Unknown tone
+and satisfy any slot -- generation must not be blocked by dictionary gaps,
+and the compliance report lists them. Both files are read by
+`corpus.read_lines`.
 """
 
 import logging
@@ -62,7 +63,7 @@ def load_tone_dict(path):
     for lineno, line in content_lines(path, ProsodyError):
         parts = line.split("\t")
         if (len(parts) != 3 or len(parts[0]) != 1 or parts[0].isspace()
-                or parts[1] not in ("P", "Z")):
+                or parts[1] not in ("P", "Z") or parts[2].split() != [parts[2]]):
             raise ProsodyError("malformed tone row at %s:%d: %r" % (path, lineno, line))
         char, tone, group = parts
         if char in td.tones:

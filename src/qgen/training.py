@@ -152,6 +152,7 @@ def training_bytes(cfg):
     return (3 * 8 + 2 * 4) * sum(math.prod(s) for s in param_shapes(cfg).values())
 
 
+@np.errstate(over="ignore", invalid="ignore")     # a non-finite loss or gradient raises below
 def train_epoch(examples, mparams, opt_state, config, rng, epoch=0):
     """One pass over the examples, shuffled by `rng`; one AdaDelta step per minibatch,
     whose float32 gradients come from a float32 copy of the float64 masters.

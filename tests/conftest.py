@@ -79,6 +79,9 @@ BAD_EMBEDDINGS = {
     "infinite value": ("1 2\na -inf 0.5\n", "line 2"),
     "repeated character": ("3 2\na 0.5 0.25\nb 0.5 0.5\na 0.25 0.5\n", "line 4"),
     "rows past the count": ("1 2\na 0.5 0.25\nb 0.5 0.5\n", "line 3"),
+    "two-character key": ("2 2\na 0.5 0.25\nab 0.1 0.2\n", "line 3"),
+    "empty key": ("1 2\n 0.3 0.4\n", "line 2"),
+    "whitespace key": ("1 2\n\u3000 0.3 0.4\n", "line 2"),
 }
 
 

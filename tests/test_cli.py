@@ -17,7 +17,7 @@ from conftest import BAD_EMBEDDINGS, BAD_HEADERS, data_path, edit_checkpoint_hea
 from qgen import cli
 from qgen.cli import EXIT_FAILURE, EXIT_INVALID, EXIT_OK, EXIT_USAGE, _emit, main
 from qgen.corpus import Genre, build_vocab, parse_corpus
-from qgen.embeddings import skipgram_pairs
+from qgen.embeddings import EmbeddingMatrix, skipgram_pairs
 from qgen.generation import GenRequest, ProsodyRules, beam_search_generate
 from qgen.prosody import load_templates, load_tone_dict
 from qgen.model import ModelConfig, ModelParams
@@ -479,6 +479,23 @@ def test_embed_and_reuse(workdir, capsys):
                  "--d", "8", "--H", "8", "--H-dec", "8",
                  "--pretrained-embeddings", "emb.txt", "--out", "m.ckpt"])
     assert code == EXIT_OK
+
+
+def test_train_from_saturating_vectors_warns_nothing(workdir, capsys):
+    """Pretrained vectors of 3e38 saturate every gate: the epoch runs to its
+    line and no numpy warning escapes (the suite makes RuntimeWarning an error)."""
+    (workdir / "c.txt").write_text(FIVE + "\n", encoding="utf-8")
+    assert main(["embed", "--corpus", "c.txt", "--out", "emb.txt",
+                 "--d", "8", "--window", "2"]) == EXIT_OK
+    vectors = EmbeddingMatrix.load_text("emb.txt")
+    vectors.matrix[:] = 3e38
+    vectors.save_text("huge.txt")
+    capsys.readouterr()
+    assert main(["train", "--corpus", "c.txt", "--genre", "5", "--epochs", "1",
+                 "--d", "8", "--H", "8", "--H-dec", "8",
+                 "--pretrained-embeddings", "huge.txt", "--out", "m.ckpt"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and [json.loads(line)["epoch"] for line in out.splitlines()] == [0]
 
 
 SEVEN = "白日依山尽黄河|入海流欲穷千里|目更上一层楼月|黑雁飞高单于夜"

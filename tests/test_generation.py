@@ -46,11 +46,24 @@ def tables(vocab, rules):
     return rules.tone_dict.tables([vocab.char(i) for i in range(len(vocab))])
 
 
+def rules_in_force(line, pos, table, templates, groups, tone_on, rhyme_on, genre):
+    """The (rule, bool mask) pairs in force at (line, pos) for rows under
+    `templates` and bound rhyme `groups`, in the order a row drops them."""
+    in_force = []
+    if rhyme_on and pos == genre.value - 1 and line in (1, 3):
+        in_force.append(("rhyme", table.known if line == 1 else
+                         np.array([table.rhymes[g] for g in groups])))
+    if tone_on and templates[0] is not None:
+        in_force.append(("tone", np.array([table.slots[t.slot(line, pos)] for t in templates])))
+    return in_force
+
+
 def mask_row(line, pos, dist, vocab, rules, template, group, tone_on, rhyme_on, genre):
     """constraint_mask over the one row `dist`, under `template` and bound
     rhyme `group`: the masked row and its relaxation records."""
-    masked, relaxed = constraint_mask(line, pos, dist[None], VocabTable(tables(vocab, rules)),
-                                      [template], [group], tone_on, rhyme_on, genre)
+    in_force = rules_in_force(line, pos, VocabTable(tables(vocab, rules)), [template], [group],
+                              tone_on, rhyme_on, genre)
+    masked, relaxed = constraint_mask(line, pos, dist[None], in_force)
     return masked[0], [r for _, r in relaxed]
 
 
@@ -470,26 +483,31 @@ def test_search_after_an_epoch_reads_the_new_weights(world):
     assert after == expect != before
 
 
-@pytest.mark.parametrize("tone, rhyme, dropped, masked", [
-    (False, False, None, 0), (False, True, None, 2), (True, False, None, 20),
-    (False, False, "model", 20)], ids=["free", "rhyme", "tone", "no-mass"])
+@pytest.mark.parametrize("tone, rhyme, dropped, masked, in_force", [
+    (False, False, None, 0, []), (False, True, None, 2, ["rhyme"]),
+    (True, False, None, 20, ["tone"]), (False, False, "model", 20, [])],
+    ids=["free", "rhyme", "tone", "no-mass"])
 def test_beam_one_masks_only_where_a_rule_is_in_force(world, monkeypatch, tone, rhyme,
-                                                      dropped, masked):
+                                                      dropped, masked, in_force):
     """At beam 1 a position with no rule in force takes the argmax and skips
     constraint_mask, unless its row has no character mass; every position
-    where a rule is in force is masked."""
+    where a rule is in force is masked, under the rules named `in_force`."""
     vocab = world[0]
     mparams, rules = relaxing_setup(world, dropped) if dropped else world[1:]
     calls = []
     mask = constraint_mask
-    monkeypatch.setattr("qgen.generation.constraint_mask",
-                        lambda line, pos, *a: calls.append((line, pos)) or mask(line, pos, *a))
+
+    def record(line, pos, dist, pairs):
+        calls.append((line, pos, [rule for rule, _ in pairs]))
+        return mask(line, pos, dist, pairs)
+
+    monkeypatch.setattr("qgen.generation.constraint_mask", record)
     req = GenRequest(keywords="月黑雁飞高", genre=Genre.FIVE_CHAR, beam_width=1,
                      tone=tone, rhyme=rhyme, seed=3)
     beam_search_generate(req, mparams, vocab, rules)
-    assert len(calls) == masked
+    assert [names for _, _, names in calls] == [in_force] * masked
     if rhyme and not tone:
-        assert calls == [(1, 4), (3, 4)]
+        assert [(line, pos) for line, pos, _ in calls] == [(1, 4), (3, 4)]
 
 
 def relaxing_setup(world, dropped):
@@ -616,8 +634,9 @@ def test_array_step_equals_the_per_row_step(world, name):
     logp = np.array([-1.25, -1.25, -2.5, -0.75])
     if name == "beam_one_equal_rows_and_scores":
         logp[:] = -1.0                  # every score ties: the draws alone decide
-    masked, relaxed = constraint_mask(line, pos, dists, rules.vocab_table(vocab), templates,
-                                      groups, True, True, genre)
+    in_force = rules_in_force(line, pos, rules.vocab_table(vocab), templates, groups,
+                              True, True, genre)
+    masked, relaxed = constraint_mask(line, pos, dists, in_force)
     rows, ids, scores = candidate_pool(masked, logp, width)
     kept = keep_best(rows, ids, scores, width, np.random.Generator(np.random.PCG64(9)))
     want_masked, want_relaxed, pool, want_kept = per_row_step(

@@ -4,7 +4,7 @@ Random bytes, random text, or text built from the symbols a format gives
 meaning to, read by the corpus, tone-dictionary or template parser, either
 parse or raise that module's typed error; every poem or template returned
 has the quatrain shape, no poem holds whitespace or `|`, and every tone row
-has a single character and a tone.
+has a single character, a tone and a non-empty group free of whitespace.
 """
 
 import pytest
@@ -68,6 +68,7 @@ def check_tone_dict(path):
         return
     assert all(len(c) == 1 for c in td.tones)
     assert set(td.tones.values()) <= {Tone.PING, Tone.ZE}
+    assert all(g and not any(map(str.isspace, g)) for g in td.groups.values())
 
 
 def check_templates(path):

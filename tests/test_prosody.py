@@ -51,6 +51,15 @@ def test_tone_dict_rejects_whitespace_character(tmp_path, char):
         load_tone_dict(str(bad))
 
 
+@pytest.mark.parametrize("group", ["", " ", "a b", "ao\u3000"], ids=repr)
+def test_tone_dict_rejects_blank_group(tmp_path, group):
+    """A group that is empty or holds whitespace would be a known group."""
+    bad = tmp_path / "blank.tsv"
+    bad.write_text("月\tZ\tie\n黑\tZ\t%s\n" % group, encoding="utf-8")
+    with pytest.raises(ProsodyError, match="blank.tsv:2"):
+        load_tone_dict(str(bad))
+
+
 @pytest.mark.parametrize("loader", [load_tone_dict, load_templates])
 def test_loaders_name_path_of_unreadable_file(tmp_path, loader):
     with pytest.raises(ProsodyError, match="absent.txt"):
