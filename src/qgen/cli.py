@@ -111,12 +111,25 @@ def _check_writable(args):
             os.remove(path)
 
 
+def _read_memory_max():
+    """The text of the cgroup v2 memory limit, which this only reads."""
+    with open("/sys/fs/cgroup/memory.max", encoding="ascii") as f:
+        return f.read()
+
+
 def _physical_memory():
-    """The machine's physical memory in bytes, or None where os.sysconf cannot tell."""
+    """The memory available to this process in bytes: the smaller of the
+    machine's physical memory and the cgroup's limit, or None where neither
+    tells. A limit of `max`, or one that is missing or unreadable, is none."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
-        return None
+        have = None
+    try:
+        limit = int(_read_memory_max())
+    except (OSError, ValueError):
+        return have
+    return limit if have is None else min(have, limit)
 
 
 def _load_rules(args):
@@ -156,7 +169,7 @@ def cmd_train(args):
     need, have = training_bytes(mcfg), _physical_memory()
     if have is not None and need > have:
         raise MemoryError("training this model needs %d bytes for its parameters, and the "
-                          "machine has %d bytes of memory" % (need, have))
+                          "memory available to this process is %d bytes" % (need, have))
     mparams = ModelParams.initialize(mcfg)
     if args.pretrained_embeddings:
         emb = EmbeddingMatrix.load_text(args.pretrained_embeddings)

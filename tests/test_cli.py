@@ -69,6 +69,37 @@ def test_train_refuses_a_model_larger_than_memory(workdir, capsys, monkeypatch):
     assert main(train + toy) == EXIT_OK
 
 
+@pytest.mark.parametrize("memory_max, expect", [
+    ("4096\n", 4096),                   # a cgroup limit below the machine's memory
+    ("max\n", None),                    # no limit
+    (FileNotFoundError, None),          # no cgroup v2 file
+    (PermissionError, None),            # unreadable
+    ("not a number\n", None),
+])
+def test_physical_memory_takes_the_cgroup_limit_when_lower(monkeypatch, memory_max, expect):
+    machine = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    def read():
+        if isinstance(memory_max, str):
+            return memory_max
+        raise memory_max("/sys/fs/cgroup/memory.max")
+    monkeypatch.setattr(cli, "_read_memory_max", read)
+    assert cli._physical_memory() == (machine if expect is None else expect)
+    # a limit above the machine's memory does not raise it
+    monkeypatch.setattr(cli, "_read_memory_max", lambda: "%d\n" % (2 * machine))
+    assert cli._physical_memory() == machine
+
+
+def test_train_refuses_a_model_larger_than_its_cgroup_limit(workdir, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_read_memory_max", lambda: "1048576\n")
+    assert main(["train", "--corpus", data_path("overfit_corpus.txt"), "--epochs", "1",
+                 "--out", "big.ckpt"]) == EXIT_FAILURE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(
+        "and the memory available to this process is 1048576 bytes")
+    assert not os.listdir(workdir)
+
+
 def test_train_writes_checkpoint_and_manifest(workdir, capsys):
     code = main(["train", "--corpus", data_path("overfit_corpus.txt"),
                  "--epochs", "1", "--d", "8", "--H", "8", "--H-dec", "8",

@@ -1,6 +1,7 @@
 """Skip-gram pretraining: pair enumeration, gradients, reproducibility."""
 
 import codecs
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from conftest import BAD_EMBEDDINGS, data_path
 from qgen import embeddings
 from qgen.corpus import N_RESERVED, Genre, Poem, build_vocab, parse_corpus
 from qgen.model import ModelConfig, ModelParams
-from qgen.embeddings import (SGD_LR, EmbeddingMatrix, center_loss,
-                             center_loss_grads, negative_sampling_table,
+from qgen.embeddings import (CENTER_BLOCK, SGD_LR, EmbeddingMatrix, block_loss,
+                             block_loss_grads, negative_sampling_table,
                              skipgram_pairs, train_skipgram)
 
 
@@ -19,9 +20,11 @@ def cosine(a, b):
 
 
 def reference_skipgram(chars, window, d, negatives, epochs, seed):
-    """The per-center loop: one draw of negatives per center, shared by its
-    pairs; every pair's gradients from the rows as they were before the
-    center; then the output-row updates in turn and the center's summed step."""
+    """The per-block loop in plain Python: blocks of CENTER_BLOCK consecutive
+    centers, each center with its own draw of negatives shared by its pairs;
+    every pair's gradients by dot products from the rows as they were before
+    the block; then the output-row updates in turn, and each center's summed
+    step in turn."""
     order = list(dict.fromkeys(chars))
     ids = [order.index(c) for c in chars]
     neg_p = negative_sampling_table(np.bincount(ids, minlength=len(order)))
@@ -31,25 +34,30 @@ def reference_skipgram(chars, window, d, negatives, epochs, seed):
     vec_out = np.zeros((V, d))
     n = len(ids)
     for _ in range(epochs):
-        for i in range(n):
-            c = ids[i]
-            contexts = [ids[j] for j in range(max(0, i - window), min(n, i + window + 1))
-                        if j != i]
-            negs = rng.choice(V, size=negatives, p=neg_p)
-            u = vec_in[c].copy()
-            du, updates = np.zeros(d), []
-            for ctx in contexts:
-                v = vec_out[ctx]
-                gpos = 1.0 / (1.0 + np.exp(-np.dot(u, v))) - 1.0
-                du = du + gpos * v
-                updates.append((ctx, gpos * u))
-                for k in negs:
-                    gneg = 1.0 / (1.0 + np.exp(-np.dot(u, vec_out[k])))
-                    du = du + gneg * vec_out[k]
-                    updates.append((k, gneg * u))
-            for row, dv in updates:
+        for start in range(0, n, CENTER_BLOCK):
+            block = range(start, min(n, start + CENTER_BLOCK))
+            negs = rng.choice(V, size=(len(block), negatives), p=neg_p)
+            old_in, old_out = vec_in.copy(), vec_out.copy()
+            out_updates, in_updates = [], []
+            for i, neg in zip(block, negs):
+                u = old_in[ids[i]]
+                du = np.zeros(d)
+                for j in range(max(0, i - window), min(n, i + window + 1)):
+                    if j == i:
+                        continue
+                    v = old_out[ids[j]]
+                    gpos = 1.0 / (1.0 + np.exp(-np.dot(u, v))) - 1.0
+                    du = du + gpos * v
+                    out_updates.append((ids[j], gpos * u))
+                    for k in neg:
+                        gneg = 1.0 / (1.0 + np.exp(-np.dot(u, old_out[k])))
+                        du = du + gneg * old_out[k]
+                        out_updates.append((k, gneg * u))
+                in_updates.append((ids[i], du))
+            for row, dv in out_updates:
                 vec_out[row] -= SGD_LR * dv
-            vec_in[c] = u - SGD_LR * du
+            for row, du in in_updates:
+                vec_in[row] -= SGD_LR * du
     return order, vec_in
 
 
@@ -69,30 +77,32 @@ def test_negative_sampling_table():
     assert p[0] < p[1] < p[2]
 
 
-@pytest.mark.parametrize("n_ctx", [1, 3, 10])
-def test_center_loss_grads_match_finite_differences(n_ctx):
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("b, n_ctx", [(1, 1), (1, 4), (3, 2), (5, 6)])
+def test_block_loss_grads_match_finite_differences(b, n_ctx):
+    """Every center's first context is padded (weight 0), and the others
+    carry weights of 1 and of other values."""
+    rng = np.random.default_rng(b * 10 + n_ctx)
     h = 1e-6
-    for trial in range(20):
-        d = 5
-        u = rng.normal(size=d)
-        rows = [rng.normal(size=d) for _ in range(n_ctx + 3)]  # the contexts, then 3 negatives
-        if trial % 2:                       # rows as a (n_ctx + k, d) array
-            rows = np.array(rows)
-        du, drows = center_loss_grads(u, rows, n_ctx)
-
-        def fd(vec, grad):
-            for i in range(d):
-                orig = vec[i]
-                vec[i] = orig + h
-                fp = center_loss(u, rows, n_ctx)
-                vec[i] = orig - h
-                fm = center_loss(u, rows, n_ctx)
-                vec[i] = orig
-                assert abs(grad[i] - (fp - fm) / (2 * h)) < 1e-5
-        fd(u, du)
-        for row, drow in zip(rows, drows):
-            fd(row, drow)
+    for _ in range(5):
+        d, k = 5, 3
+        U = rng.normal(size=(b, d))
+        rows = rng.normal(size=(b, n_ctx + k, d))      # the contexts, then k negatives
+        weight = rng.choice([0.0, 1.0, 0.5], size=(b, n_ctx))
+        weight[:, 0] = 0.0
+        dU, g = block_loss_grads(U, rows, weight)
+        assert dU.shape == U.shape and g.shape == rows.shape[:2]
+        drows = g[:, :, None] * U[:, None, :]
+        for arr, grad in ((U, dU), (rows, drows)):
+            flat, gflat = arr.reshape(-1), grad.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = block_loss(U, rows, weight)
+                flat[i] = orig - h
+                fm = block_loss(U, rows, weight)
+                flat[i] = orig
+                assert abs(gflat[i] - (fp - fm) / (2 * h)) < 1e-5
+        assert np.all(g[:, 0] == 0.0)           # a padded context's row does not move
 
 
 @pytest.mark.parametrize("stream, window, negatives", [
@@ -104,8 +114,15 @@ def test_center_loss_grads_match_finite_differences(n_ctx):
     (list("甲乙" * 20), 3, 2),
     # a window as wide as the stream: every center sees every other character
     (list("白日依山尽黄河入海流"), 9, 3),
-], ids=["sample corpus", "repeated negatives", "repeated contexts", "window spans the stream"])
-def test_training_matches_per_center_reference(stream, window, negatives):
+    # one short block
+    (list("白日依山尽黄河"), 2, 3),
+    # 3 blocks and 5 centers, each window reaching beyond its block
+    (list("白日依山尽黄河入海流欲穷千里目更上一层楼" * 2 + "白日依山尽"), 20, 2),
+    # one block that holds the center 甲 twice
+    (list("甲乙丙甲"), 1, 2),
+], ids=["sample corpus", "repeated negatives", "repeated contexts", "window spans the stream",
+        "shorter than a block", "window wider than a block", "a center twice in a block"])
+def test_training_matches_per_block_reference(stream, window, negatives):
     order, expect = reference_skipgram(stream, window, 16, negatives, 2, seed=3)
     got = train_skipgram(stream, window=window, d=16, negatives=negatives,
                          epochs=2, seed=3)
@@ -113,19 +130,20 @@ def test_training_matches_per_center_reference(stream, window, negatives):
     np.testing.assert_allclose(got.matrix, expect, rtol=1e-10, atol=1e-12)
 
 
-def test_training_calls_the_center_kernel_once_per_center(monkeypatch):
-    """One kernel call per character of the stream per epoch, through the
-    module attribute, so that a tracer can wrap it."""
+def test_training_calls_the_block_kernel_once_per_block(monkeypatch):
+    """One kernel call per block of CENTER_BLOCK centers per epoch, through
+    the module attribute, so that a tracer can wrap it; the context weights
+    count every pair once."""
     calls = []
-    kernel = embeddings.center_loss_grads
+    kernel = embeddings.block_loss_grads
 
-    def counted(u, rows, n_ctx):
-        calls.append(n_ctx)
-        return kernel(u, rows, n_ctx)
-    monkeypatch.setattr(embeddings, "center_loss_grads", counted)
-    stream = list("白日依山尽黄河入海流" * 3)
+    def counted(U, rows, weight):
+        calls.append(weight.sum())
+        return kernel(U, rows, weight)
+    monkeypatch.setattr(embeddings, "block_loss_grads", counted)
+    stream = list("白日依山尽黄河入海流" * 4)
     train_skipgram(stream, window=3, d=4, negatives=2, epochs=2, seed=0)
-    assert len(calls) == 2 * len(stream)
+    assert len(calls) == 2 * math.ceil(len(stream) / CENTER_BLOCK) == 6
     assert sum(calls) == 2 * len(list(skipgram_pairs(stream, 3)))
 
 
@@ -143,6 +161,17 @@ def test_training_learns_distributional_similarity():
     # should converge, while the directly co-occurring pair need not
     stream = list("甲中乙中" * 40)
     a = train_skipgram(stream, window=1, d=8, negatives=2, epochs=10, seed=5)
+    same_context = cosine(a.vector("甲"), a.vector("乙"))
+    cooccurring = cosine(a.vector("甲"), a.vector("中"))
+    assert same_context > 0.9
+    assert same_context > cooccurring + 0.5
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_block_training_learns_distributional_similarity_on_every_seed(seed):
+    """The stream and bounds of the test above, over seeds 0-4."""
+    stream = list("甲中乙中" * 40)
+    a = train_skipgram(stream, window=1, d=8, negatives=2, epochs=10, seed=seed)
     same_context = cosine(a.vector("甲"), a.vector("乙"))
     cooccurring = cosine(a.vector("甲"), a.vector("中"))
     assert same_context > 0.9
