@@ -111,9 +111,14 @@ def _check_writable(args):
             os.remove(path)
 
 
+# cgroup v2's memory limit file, then v1's; only the first that exists is read
+MEMORY_LIMIT_FILES = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
 def _read_memory_max():
-    """The text of the cgroup v2 memory limit, which this only reads."""
-    with open("/sys/fs/cgroup/memory.max", encoding="ascii") as f:
+    """The text of the first of MEMORY_LIMIT_FILES that exists, which this only reads."""
+    path = next(filter(os.path.exists, MEMORY_LIMIT_FILES), MEMORY_LIMIT_FILES[0])
+    with open(path, encoding="ascii") as f:
         return f.read()
 
 

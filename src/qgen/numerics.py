@@ -523,10 +523,11 @@ def adadelta_step(params, grads, state):
             d2 *= rho
             d2 += (1.0 - rho) * dx * dx
             p[i:i + n] += dx
-    # parameters with no gradient this step still decay their E[g^2]
+    # no gradient this step: g = 0, so dx = 0 and both accumulators decay by rho
     for name in params:
         if name not in grads:
             state.eg2[name] *= rho
+            state.edx2[name] *= rho
     return float(np.sqrt(sumsq))
 
 

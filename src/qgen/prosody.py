@@ -6,7 +6,8 @@ P/Z/*, one block per template, preceded by a `# id` line; blank lines
 separate blocks. Characters missing from the dictionary have Unknown tone
 and satisfy any slot -- generation must not be blocked by dictionary gaps,
 and the compliance report lists them. Both files are read by
-`corpus.read_lines`.
+`corpus.read_lines`. `compliance_report` checks a poem's shape once and
+looks its characters up once; every part of the report reads that lookup.
 """
 
 import logging
@@ -122,52 +123,6 @@ def slot_allows(slot, tone):
     return (slot == "*") | (tone == "?") | (tone == slot)
 
 
-def match_tonal_template(lines, tone_dict, templates):
-    """Best template for the poem and its violation list.
-
-    Each template is scored by the number of satisfied known-tone slots;
-    Unknown-tone characters satisfy any slot. Ties break to the lowest
-    template id. Violations are (line_idx, pos, expected_slot, found_tone).
-    """
-    genre = validate_structure(lines)
-    cands = templates_for(templates, genre)
-    if not cands:
-        raise ProsodyError("no templates for genre %s" % genre.name)
-    tones = tone_dict.tables("".join(lines))[0].reshape(4, -1)
-    best, best_score = None, -1
-    for t in sorted(cands, key=lambda t: t.template_id):
-        ok = slot_allows(np.array([list(l) for l in t.lines]), tones)
-        if ok.sum() > best_score:
-            best_score = ok.sum()
-            best = (t, [(li, pi, t.slot(li, pi), str(tones[li, pi]))
-                        for li, pi in np.argwhere(~ok).tolist()])
-    return best
-
-
-def validate_rhyme(lines, tone_dict, include_line1=False):
-    """Lines 2 and 4 must end in the same known rhyme group.
-
-    Returns (rhyme_ok, info); info records the groups found and, optionally,
-    whether line 1's last character also rhymes.
-    """
-    validate_structure(lines)
-    g2 = tone_dict.rhyme_group(lines[1][-1])
-    g4 = tone_dict.rhyme_group(lines[3][-1])
-    info = {"line2_group": g2, "line4_group": g4}
-    if g2 is None or g4 is None:
-        info["reason"] = "unknown"
-        ok = False
-    else:
-        ok = g2 == g4
-        if not ok:
-            info["reason"] = "mismatch"
-    if include_line1:
-        g1 = tone_dict.rhyme_group(lines[0][-1])
-        info["line1_group"] = g1
-        info["line1_rhymes"] = g1 is not None and g1 == g2
-    return ok, info
-
-
 @dataclass
 class ComplianceReport:
     structure_ok: bool
@@ -185,18 +140,33 @@ class ComplianceReport:
 
 
 def compliance_report(lines, tone_dict, templates, include_line1=False):
-    """Full check of one poem: structure, then tones and rhyme."""
+    """Full check of one poem in one pass: its shape checked once, its
+    characters looked up once. The best template satisfies the most slots
+    (Unknown fits any), ties to the lowest id; a violation is (line_idx, pos,
+    expected_slot, found_tone). Lines 2 and 4 must end in one known rhyme
+    group; `include_line1` also records whether line 1 rhymes with line 2."""
     try:
         genre = validate_structure(lines)
     except StructureError as e:
         return ComplianceReport(structure_ok=False, structure_error=str(e))
-    best, violations = match_tonal_template(lines, tone_dict, templates)
-    rhyme_ok, rhyme_info = validate_rhyme(lines, tone_dict, include_line1=include_line1)
+    cands = sorted(templates_for(templates, genre), key=lambda t: t.template_id)
+    if not cands:
+        raise ProsodyError("no templates for genre %s" % genre.name)
     chars = "".join(lines)
-    tones = tone_dict.tables(chars)[0]
-    unknown = sorted({c for c, tone in zip(chars, tones) if tone == Tone.UNKNOWN.value})
+    tones, groups = (a.reshape(4, -1) for a in tone_dict.tables(chars))
+    ok = slot_allows(np.array([[list(l) for l in t.lines] for t in cands]), tones)
+    best = int(np.argmax(ok.sum(axis=(1, 2))))          # the first maximum: the lowest id
+    violations = [(li, pi, cands[best].slot(li, pi), str(tones[li, pi]))
+                  for li, pi in np.argwhere(~ok[best]).tolist()]
+    g1, g2, g4 = groups[:, -1][[0, 1, 3]]
+    rhyme_ok = g2 is not None and g2 == g4
+    info = {"line2_group": g2, "line4_group": g4}
+    if not rhyme_ok:
+        info["reason"] = "mismatch" if g2 is not None and g4 is not None else "unknown"
+    if include_line1:
+        info.update(line1_group=g1, line1_rhymes=g1 is not None and g1 == g2)
+    unknown = sorted({c for c, tone in zip(chars, tones.flat) if tone == Tone.UNKNOWN.value})
     return ComplianceReport(structure_ok=True, genre=genre.name,
-                            best_template=best.template_id,
-                            tone_violations=violations,
-                            rhyme_ok=rhyme_ok, rhyme_info=rhyme_info,
-                            unknown_chars=unknown)
+                            best_template=cands[best].template_id,
+                            tone_violations=violations, rhyme_ok=rhyme_ok,
+                            rhyme_info=info, unknown_chars=unknown)

@@ -90,6 +90,25 @@ def test_physical_memory_takes_the_cgroup_limit_when_lower(monkeypatch, memory_m
     assert cli._physical_memory() == machine
 
 
+@pytest.mark.parametrize("v2, v1, expect", [
+    (None, "4096\n", 4096),                     # a cgroup v1 limit below the machine's memory
+    (None, "9223372036854771712\n", None),      # cgroup v1's unlimited
+    ("max\n", "4096\n", None),                  # v2's no limit; v1's file is not read
+    ("", "4096\n", None),                       # an unreadable v2 file; v1's is not read
+    (None, None, None),                         # neither file
+])
+def test_physical_memory_reads_the_first_cgroup_limit_file(monkeypatch, tmp_path, v2, v1, expect):
+    machine = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    paths = [tmp_path / "memory.max", tmp_path / "memory.limit_in_bytes"]
+    for path, text in zip(paths, (v2, v1)):
+        if text == "":
+            path.mkdir()                        # open() raises IsADirectoryError
+        elif text is not None:
+            path.write_text(text, encoding="ascii")
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_FILES", tuple(map(str, paths)))
+    assert cli._physical_memory() == (machine if expect is None else expect)
+
+
 def test_train_refuses_a_model_larger_than_its_cgroup_limit(workdir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_read_memory_max", lambda: "1048576\n")
     assert main(["train", "--corpus", data_path("overfit_corpus.txt"), "--epochs", "1",

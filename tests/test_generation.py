@@ -19,9 +19,8 @@ from qgen.generation import (GenerationError, GenRequest, ProsodyRules, VocabTab
                              beam_search_generate, candidate_pool, constraint_mask,
                              keep_best, position_plan)
 from qgen.model import ModelConfig, ModelParams, decode_step, encode, init_decoder_state
-from qgen.prosody import (Tone, ToneDict, load_templates, load_tone_dict,
-                          match_tonal_template, slot_allows, templates_for,
-                          validate_structure)
+from qgen.prosody import (Tone, ToneDict, compliance_report, load_templates, load_tone_dict,
+                          slot_allows, templates_for, validate_structure)
 from qgen.training import TrainConfig, load_checkpoint, save_checkpoint, train, train_epoch
 
 POEMS = [
@@ -237,12 +236,13 @@ def test_slot_allows_agrees_with_template_violations(world):
     td = rules.tone_dict
     poems = [p.lines for p in POEMS] + [["高高高高高"] * 4, ["月黑雁飞瞾"] * 4]
     for lines in poems:
-        best, violations = match_tonal_template(lines, td, rules.templates)
+        rep = compliance_report(lines, td, rules.templates)
+        best = next(t for t in rules.templates if t.template_id == rep.best_template)
         L = len(lines[0])
         tones = td.tables("".join(lines))[0]
         slots = np.array(list("".join(best.lines)))
         bad = np.flatnonzero(~slot_allows(slots, tones))
-        assert violations == [(i // L, i % L, slots[i], tones[i]) for i in bad]
+        assert rep.tone_violations == [(i // L, i % L, slots[i], tones[i]) for i in bad]
 
 
 def test_generation_structure_and_determinism(world):

@@ -533,9 +533,17 @@ def test_adadelta_decays_unvisited_accumulators():
     state = nm.AdaDeltaState(params, rho=0.5)
     nm.adadelta_step(params, {"x": np.array([1.0])}, state)
     state.eg2["y"][:] = 1.0
+    state.edx2["y"][:] = 1.0
     nm.adadelta_step(params, {"x": np.array([1.0])}, state)
     assert state.eg2["y"][0] == 0.5
+    assert state.edx2["y"][0] == 0.5
     assert params["y"][0] == 0.0
+    # as the published update with g = 0 does
+    zero = {"y": np.array([0.0])}
+    want = nm.AdaDeltaState(zero, rho=0.5)
+    want.eg2["y"][:] = want.edx2["y"][:] = 1.0
+    nm.adadelta_step(zero, {"y": np.array([0.0])}, want)
+    assert (want.eg2["y"][0], want.edx2["y"][0], zero["y"][0]) == (0.5, 0.5, 0.0)
 
 
 def whole_tensor_adadelta(params, grads, state):
@@ -554,6 +562,7 @@ def whole_tensor_adadelta(params, grads, state):
     for name in params:
         if name not in grads:
             state.eg2[name] *= rho
+            state.edx2[name] *= rho
 
 
 @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
@@ -576,7 +585,7 @@ def test_blocked_adadelta_equals_whole_tensor_update(grad_dtype):
     state = nm.AdaDeltaState(params, rho=0.9, epsilon=1e-6)
     want_state = nm.AdaDeltaState(want, rho=0.9, epsilon=1e-6)
     for state_ in (state, want_state):
-        state_.eg2["no_grad"][:] = 1.0
+        state_.eg2["no_grad"][:] = state_.edx2["no_grad"][:] = 1.0
     for _ in range(5):
         grads = {k: np.asarray(rng.standard_normal(s)).astype(grad_dtype)
                  for k, s in shapes.items() if k != "no_grad"}
@@ -592,7 +601,7 @@ def test_blocked_adadelta_equals_whole_tensor_update(grad_dtype):
             assert got[k].dtype == ref[k].dtype and got[k].tobytes() == ref[k].tobytes(), k
     assert all(not np.array_equal(params[k], start[k]) for k in shapes if k != "no_grad")
     assert np.array_equal(params["no_grad"], start["no_grad"])
-    assert state.eg2["no_grad"].max() < 1.0
+    assert state.eg2["no_grad"].max() < 1.0 and state.edx2["no_grad"].max() < 1.0
 
 
 def test_adadelta_state_validation():

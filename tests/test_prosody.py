@@ -1,6 +1,7 @@
 """Tonal templates, rhyme groups, and the compliance report."""
 
 import codecs
+import json
 import logging
 from dataclasses import asdict
 from pathlib import Path
@@ -9,10 +10,10 @@ import pytest
 
 from conftest import data_path
 from qgen.corpus import Genre, read_lines
-from qgen.prosody import (ProsodyError, StructureError, Tone,
+from qgen import prosody
+from qgen.prosody import (ProsodyError, StructureError, TonalTemplate, Tone, ToneDict,
                           compliance_report, load_templates, load_tone_dict,
-                          match_tonal_template, templates_for,
-                          validate_rhyme, validate_structure)
+                          templates_for, validate_structure)
 
 POEM = ["月黑雁飞高", "单于夜遁逃", "欲将轻骑逐", "大雪满弓刀"]
 
@@ -135,45 +136,46 @@ def test_validate_structure():
 
 
 def test_fixture_poem_matches_wu1_cleanly(tone_dict, templates):
-    best, violations = match_tonal_template(POEM, tone_dict, templates)
-    assert best.template_id == "wu_1"
-    assert violations == []
+    rep = compliance_report(POEM, tone_dict, templates)
+    assert rep.best_template == "wu_1"
+    assert rep.tone_violations == []
 
 
 def test_match_reports_violations(tone_dict, templates):
     # all-Ping nonsense lines violate every Z slot of the best template
     lines = ["高高高高高"] * 4
-    best, violations = match_tonal_template(lines, tone_dict, templates)
+    violations = compliance_report(lines, tone_dict, templates).tone_violations
     assert violations
     assert all(v[3] == "P" for v in violations)
 
 
+TIED = [TonalTemplate("b", Genre.FIVE_CHAR, ["*****"] * 4),
+        TonalTemplate("a", Genre.FIVE_CHAR, ["*****"] * 4)]
+
+
 def test_match_tie_breaks_to_lowest_id(tone_dict):
-    from qgen.prosody import TonalTemplate
-    ts = [TonalTemplate("b", Genre.FIVE_CHAR, ["*****"] * 4),
-          TonalTemplate("a", Genre.FIVE_CHAR, ["*****"] * 4)]
-    best, violations = match_tonal_template(POEM, tone_dict, ts)
-    assert best.template_id == "a"
-    assert violations == []
+    rep = compliance_report(POEM, tone_dict, TIED)
+    assert rep.best_template == "a"
+    assert rep.tone_violations == []
 
 
 def test_match_requires_templates(tone_dict):
     with pytest.raises(ProsodyError):
-        match_tonal_template(POEM, tone_dict, [])
+        compliance_report(POEM, tone_dict, [])
 
 
-def test_validate_rhyme(tone_dict):
-    ok, info = validate_rhyme(POEM, tone_dict)
-    assert ok
-    assert info["line2_group"] == info["line4_group"] == "ao"
+def test_validate_rhyme(tone_dict, templates):
+    rep = compliance_report(POEM, tone_dict, templates)
+    assert rep.rhyme_ok
+    assert rep.rhyme_info["line2_group"] == rep.rhyme_info["line4_group"] == "ao"
     bad = POEM[:3] + ["大雪满弓人"]       # 人: group en, breaks the rhyme
-    ok, info = validate_rhyme(bad, tone_dict)
-    assert not ok and info["reason"] == "mismatch"
+    rep = compliance_report(bad, tone_dict, templates)
+    assert not rep.rhyme_ok and rep.rhyme_info["reason"] == "mismatch"
     unk = POEM[:3] + ["大雪满弓瞾"]
-    ok, info = validate_rhyme(unk, tone_dict)
-    assert not ok and info["reason"] == "unknown"
-    ok, info = validate_rhyme(POEM, tone_dict, include_line1=True)
-    assert info["line1_group"] == "ao" and info["line1_rhymes"]
+    rep = compliance_report(unk, tone_dict, templates)
+    assert not rep.rhyme_ok and rep.rhyme_info["reason"] == "unknown"
+    rep = compliance_report(POEM, tone_dict, templates, include_line1=True)
+    assert rep.rhyme_info["line1_group"] == "ao" and rep.rhyme_info["line1_rhymes"]
 
 
 def test_compliance_report(tone_dict, templates):
@@ -192,3 +194,114 @@ def test_compliance_report(tone_dict, templates):
     unk = compliance_report(POEM[:3] + ["大雪满弓瞾"], tone_dict, templates)
     assert unk.unknown_chars == ["瞾"]
     assert not unk.compliant
+
+
+def oracle_report(lines, td, templates, include_line1=False):
+    """The report as a dict, character by character and slot by slot, from
+    `ToneDict.tone` and `ToneDict.rhyme_group` alone."""
+    try:
+        genre = validate_structure(lines)
+    except StructureError as e:
+        return {"structure_ok": False, "genre": None, "structure_error": str(e),
+                "best_template": None, "tone_violations": [], "rhyme_ok": None,
+                "rhyme_info": {}, "unknown_chars": [], "compliant": False}
+    best, best_bad = None, None
+    for t in sorted(templates_for(templates, genre), key=lambda t: t.template_id):
+        bad = []
+        for li, (slots, line) in enumerate(zip(t.lines, lines)):
+            for pi, (slot, c) in enumerate(zip(slots, line)):
+                tone = td.tone(c)
+                if slot != "*" and tone is not Tone.UNKNOWN and tone.value != slot:
+                    bad.append((li, pi, slot, tone.value))
+        if best is None or len(bad) < len(best_bad):      # most slots satisfied
+            best, best_bad = t, bad
+    g1, g2, g4 = (td.rhyme_group(lines[i][-1]) for i in (0, 1, 3))
+    info = {"line2_group": g2, "line4_group": g4}
+    if g2 is None or g4 is None:
+        info["reason"] = "unknown"
+    elif g2 != g4:
+        info["reason"] = "mismatch"
+    if include_line1:
+        info["line1_group"] = g1
+        info["line1_rhymes"] = g1 is not None and g1 == g2
+    unknown = sorted({c for line in lines for c in line if td.tone(c) is Tone.UNKNOWN})
+    rhyme_ok = "reason" not in info
+    return {"structure_ok": True, "genre": genre.name, "structure_error": None,
+            "best_template": best.template_id, "tone_violations": best_bad,
+            "rhyme_ok": rhyme_ok, "rhyme_info": info, "unknown_chars": unknown,
+            "compliant": not best_bad and rhyme_ok}
+
+
+def assert_report_matches_oracle(lines, td, templates):
+    """The report's JSON equals the oracle's byte for byte, with and without
+    line 1's rhyme, and every violation is a tuple of Python ints and strs."""
+    for include_line1 in (False, True):
+        rep = compliance_report(lines, td, templates, include_line1=include_line1)
+        want = oracle_report(lines, td, templates, include_line1=include_line1)
+        got = asdict(rep)
+        assert json.dumps(got, ensure_ascii=False) == json.dumps(want, ensure_ascii=False)
+        assert got == want
+        assert all(tuple(map(type, v)) == (int, int, str, str) for v in rep.tone_violations)
+        assert type(rep.rhyme_ok) is (bool if rep.structure_ok else type(None))
+
+
+def test_report_matches_oracle_on_fixture_poems(tone_dict, templates):
+    poems = [POEM, ["高高高高高"] * 4, POEM[:3] + ["大雪满弓人"], POEM[:3] + ["大雪满弓瞾"],
+             POEM[:3] + ["大雪满弓"], ["瞾" * 5] * 4, ["朝辞白帝彩云间", "千里江陵一日还",
+                                                  "两岸猿声啼不住", "轻舟已过万重山"]]
+    for lines in poems:
+        assert_report_matches_oracle(lines, tone_dict, templates)
+    assert_report_matches_oracle(POEM, tone_dict, TIED)
+
+
+def test_report_matches_oracle_on_drawn_quatrains(tone_dict, templates):
+    """Quatrains of both genres drawn from the dictionary and two characters
+    it lacks, some with a short line, against the packaged templates and
+    drawn ones whose ids often tie."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    chars = sorted(tone_dict.tones) + ["瞾", "龘"]
+
+    @st.composite
+    def cases(draw):
+        L = draw(st.sampled_from([5, 7]))
+        genre = Genre.FIVE_CHAR if L == 5 else Genre.SEVEN_CHAR
+        line = st.text(st.sampled_from(chars), min_size=L, max_size=L)
+        lines = draw(st.lists(line, min_size=4, max_size=4))
+        short = draw(st.sampled_from([None] * 19 + [0, 1, 2, 3]))
+        if short is not None:
+            lines[short] = lines[short][:-1]
+        slots = st.text(st.sampled_from("PZ*"), min_size=L, max_size=L)
+        drawn = draw(st.lists(st.builds(TonalTemplate, st.sampled_from("xyz"), st.just(genre),
+                                        st.lists(slots, min_size=4, max_size=4)),
+                              max_size=3))
+        return lines, templates + drawn
+
+    @hyp.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hyp.given(cases())
+    def check(case):
+        lines, tmpls = case
+        assert_report_matches_oracle(lines, tone_dict, tmpls)
+
+    check()
+
+
+def test_report_checks_shape_once_and_looks_characters_up_once(monkeypatch, tone_dict,
+                                                               templates):
+    calls = {"quatrain_genre": 0, "tables": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(prosody, "quatrain_genre", counted("quatrain_genre",
+                                                           prosody.quatrain_genre))
+    monkeypatch.setattr(ToneDict, "tables", counted("tables", ToneDict.tables))
+    for include_line1 in (False, True):
+        calls.update(quatrain_genre=0, tables=0)
+        assert compliance_report(POEM, tone_dict, templates, include_line1=include_line1).compliant
+        assert calls == {"quatrain_genre": 1, "tables": 1}
+    calls.update(quatrain_genre=0, tables=0)
+    assert not compliance_report(POEM[:3], tone_dict, templates).structure_ok
+    assert calls == {"quatrain_genre": 1, "tables": 0}
